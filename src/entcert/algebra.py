@@ -13,12 +13,13 @@ which gives the vacuum quadrature variance 1/2.
 """
 
 import math
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import HermiticityError, PowerGuardError
-from .fock import Cutoff, DensityOperator, embed, lowering_matrix
+from .fock import Cutoff, PureState, State, embed, lowering_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -214,7 +215,7 @@ _matrix_cache: dict[tuple[int, int, Monomial], np.ndarray] = {}
 
 
 def monomial_matrix(mono: Monomial, cutoff: Cutoff) -> np.ndarray:
-    """Dense joint matrix of the normal-ordered word at the given cutoff."""
+    """Dense joint matrix of the normal-ordered word at the given cutoff (read-only)."""
     key = (cutoff.d_a, cutoff.d_b, mono)
     cached = _matrix_cache.get(key)
     if cached is not None:
@@ -224,6 +225,7 @@ def monomial_matrix(mono: Monomial, cutoff: Cutoff) -> np.ndarray:
     op_a = np.linalg.matrix_power(low_a.conj().T, mono.adag) @ np.linalg.matrix_power(low_a, mono.a)
     op_b = np.linalg.matrix_power(low_b.conj().T, mono.bdag) @ np.linalg.matrix_power(low_b, mono.b)
     mat = embed(op_a, op_b)
+    mat.setflags(write=False)
     _matrix_cache[key] = mat
     return mat
 
@@ -236,19 +238,55 @@ def _check_power_guard(powers_a: int, powers_b: int, cutoff: Cutoff) -> None:
         )
 
 
-def moment(rho: DensityOperator, mono: Monomial) -> complex:
-    """<adag^m a^n bdag^p b^q> on rho.
+@lru_cache(maxsize=256)
+def _lowering_weights(n: int, size: int) -> np.ndarray:
+    """sqrt((k+n)!/k!) for k < size: the factor a^n puts on |k+n> -> |k> (read-only)."""
+    k = np.arange(size, dtype=float)
+    weight = np.ones(size)
+    for j in range(1, n + 1):
+        weight *= k + j
+    weight = np.sqrt(weight)
+    weight.setflags(write=False)
+    return weight
+
+
+def _pure_moment(psi: PureState, mono: Monomial) -> complex:
+    """<psi|adag^m a^n bdag^p b^q|psi> = <a^m b^p psi | a^n b^q psi>.
+
+    Each factor is a weighted shift of the d_a x d_b amplitude grid; only
+    the corner both shifted grids cover can contribute to the overlap.
+    """
+    m, n, p, q = mono
+    rows = psi.cutoff.d_a - max(m, n)
+    cols = psi.cutoff.d_b - max(p, q)
+    grid = psi.grid
+
+    def lowered(s: int, t: int) -> np.ndarray:
+        corner = grid[s : s + rows, t : t + cols]
+        return _lowering_weights(s, rows)[:, None] * corner * _lowering_weights(t, cols)
+
+    return complex(np.vdot(lowered(m, p), lowered(n, q)))
+
+
+def moment(rho: State, mono: Monomial) -> complex:
+    """<adag^m a^n bdag^p b^q> on a pure state or a density operator.
 
     Rejects monomials whose total per-mode power reaches the cutoff, where
-    truncated states make high moments unreliable.
+    truncated states make high moments unreliable.  On a PureState each
+    value is computed once and kept with the (immutable) state.
     """
     mono = Monomial(*mono)
     _check_power_guard(mono.adag + mono.a, mono.bdag + mono.b, rho.cutoff)
+    if isinstance(rho, PureState):
+        value = rho._moments.get(mono)
+        if value is None:
+            value = rho._moments[mono] = _pure_moment(rho, mono)
+        return value
     mat = monomial_matrix(mono, rho.cutoff)
     return complex(np.einsum("ij,ji->", rho.entries, mat))
 
 
-def expectation_poly(rho: DensityOperator, poly: OperatorPoly) -> complex:
+def expectation_poly(rho: State, poly: OperatorPoly) -> complex:
     """<poly> on rho, as the coefficient-weighted sum of monomial moments."""
     total = 0.0 + 0.0j
     for mono, coeff in poly.terms.items():
@@ -256,7 +294,13 @@ def expectation_poly(rho: DensityOperator, poly: OperatorPoly) -> complex:
     return total
 
 
-def variance(rho: DensityOperator, poly: OperatorPoly, herm_tol: float = 1e-12) -> float:
+@lru_cache(maxsize=128)
+def _square(poly: OperatorPoly) -> OperatorPoly:
+    """poly * poly; bounded, since callers may pass a fresh polynomial per state."""
+    return poly * poly
+
+
+def variance(rho: State, poly: OperatorPoly, herm_tol: float = 1e-12) -> float:
     """<poly^2> - <poly>^2 for a Hermitian polynomial; clamps tiny negatives.
 
     On a physical state the result is nonnegative; values below -1e-10
@@ -265,7 +309,7 @@ def variance(rho: DensityOperator, poly: OperatorPoly, herm_tol: float = 1e-12) 
     if not poly.is_hermitian(herm_tol):
         raise HermiticityError(f"variance requires a Hermitian polynomial, got {poly!r}")
     mean = expectation_poly(rho, poly)
-    second = expectation_poly(rho, poly * poly)
+    second = expectation_poly(rho, _square(poly))
     value = (second - mean * mean).real
     if value < -1e-10:
         raise ValueError(

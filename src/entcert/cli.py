@@ -30,6 +30,7 @@ Exit codes: 0 success, 2 config error, 3 numerical precondition failure,
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -158,19 +159,29 @@ def build_state(state_cfg: dict, cutoff_override=None, tol_override=None):
     return psi, report, kind, params
 
 
+def _parse_gains(block: dict, key: str, ctx: str) -> list[float]:
+    """The list of Duan gains at block[key]: finite, nonzero numbers; default [1.0].
+
+    Python's json accepts NaN and Infinity, so finiteness is checked here.
+    """
+    values = block.get(key, [1.0])
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{ctx}.{key} must be a non-empty list of numbers")
+    out = []
+    for idx, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value == 0:
+            raise ConfigError(f"{ctx}.{key}[{idx}] must be a nonzero number")
+        if not math.isfinite(value):
+            raise ConfigError(f"{ctx}.{key}[{idx}] must be finite")
+        out.append(float(value))
+    return out
+
+
 def _parse_duan_ms(config: dict) -> list[float]:
     block = config.get("witnesses", {})
     if not isinstance(block, dict):
         raise ConfigError("'witnesses' must be a JSON object")
-    values = block.get("duan_m", [1.0])
-    if not isinstance(values, list) or not values:
-        raise ConfigError("witnesses.duan_m must be a non-empty list of numbers")
-    out = []
-    for idx, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value == 0:
-            raise ConfigError(f"witnesses.duan_m[{idx}] must be a nonzero number")
-        out.append(float(value))
-    return out
+    return _parse_gains(block, "duan_m", "witnesses")
 
 
 # -- evaluate -----------------------------------------------------------
@@ -185,15 +196,14 @@ def cmd_evaluate(config_path: str, cutoff_override=None, tol_override=None) -> i
         raise ConfigError("config must contain a 'state' block")
     duan_ms = _parse_duan_ms(config)
     psi, trunc, kind, params = build_state(config["state"], cutoff_override, tol_override)
-    rho = states.density_from_pure(psi)
 
     reports = {
-        "mancini": asdict(criteria.mancini_witness(rho)),
-        "duan": [asdict(criteria.duan_witness(rho, m)) for m in duan_ms],
-        "su2_pt": asdict(criteria.su2_pt_witness(rho)),
-        "su11_pt_ladder": asdict(criteria.su11_pt_witness(rho, "ladder")),
-        "su11_pt_quadrature": asdict(criteria.su11_pt_witness(rho, "quadrature")),
-        "ppt": asdict(criteria.ppt_witness(rho)),
+        "mancini": asdict(criteria.mancini_witness(psi)),
+        "duan": [asdict(criteria.duan_witness(psi, m)) for m in duan_ms],
+        "su2_pt": asdict(criteria.su2_pt_witness(psi)),
+        "su11_pt_ladder": asdict(criteria.su11_pt_witness(psi, "ladder")),
+        "su11_pt_quadrature": asdict(criteria.su11_pt_witness(psi, "quadrature")),
+        "ppt": asdict(criteria.ppt_witness(psi)),
     }
     output = {
         "state": {
@@ -241,15 +251,14 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
             alpha = math.cos(theta) * complex(math.cos(phi_r), math.sin(phi_r))
             beta = complex(math.sin(theta))
             psi = states.bell_xp_state(alpha, beta, cutoff)
-            rho = states.density_from_pure(psi)
-            m_sum, m_minus, m_x = criteria.duan_mancini_relation(rho)
-            su2 = criteria.su2_pt_witness(rho)
-            su11 = criteria.su11_pt_witness(rho, "ladder")
-            ppt = criteria.ppt_witness(rho)
+            m_sum, m_minus, m_x = criteria.duan_mancini_relation(psi)
+            su2 = criteria.su2_pt_witness(psi)
+            su11 = criteria.su11_pt_witness(psi, "ladder")
+            ppt = criteria.ppt_witness(psi)
             closed = criteria.bell_closed_forms(alpha, beta, 1.0)
             mancini_detected = m_x < 1.0 - criteria.DETECTION_MARGIN
             duan_detected = any(
-                criteria.duan_witness(rho, m).entangled_detected for m in m_values
+                criteria.duan_witness(psi, m).entangled_detected for m in m_values
             )
             yield (
                 _fmt(theta),
@@ -285,13 +294,7 @@ def cmd_sweep(config_path: str, output_path: str, cutoff_override=None, tol_over
     n_phi = _get_number(sweep_cfg, "n_phi", "sweep")
     if n_theta != int(n_theta) or n_phi != int(n_phi) or n_theta < 1 or n_phi < 1:
         raise ConfigError("sweep.n_theta and sweep.n_phi must be integers >= 1")
-    m_values = sweep_cfg.get("m_values", [1.0])
-    if not isinstance(m_values, list) or not m_values:
-        raise ConfigError("sweep.m_values must be a non-empty list of numbers")
-    for idx, value in enumerate(m_values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value == 0:
-            raise ConfigError(f"sweep.m_values[{idx}] must be a nonzero number")
-    m_values = [float(v) for v in m_values]
+    m_values = _parse_gains(sweep_cfg, "m_values", "sweep")
 
     state_cfg = config.get("state", {"kind": "bell_xp"})
     if not isinstance(state_cfg, dict):
@@ -300,16 +303,22 @@ def cmd_sweep(config_path: str, output_path: str, cutoff_override=None, tol_over
         raise ConfigError("sweep runs over the bell_xp family; state.kind must be bell_xp")
     cutoff = _parse_cutoff(state_cfg, "bell_xp", cutoff_override)
 
+    # Rows go to a temp file beside the output, renamed into place only once
+    # every row is written, so a failure mid-run leaves no partial CSV.
     rows = _sweep_rows(cutoff, int(n_theta), int(n_phi), m_values)
+    tmp_path = f"{output_path}.{os.getpid()}.tmp"
     try:
-        handle = open(output_path, "w", encoding="ascii", newline="")
+        with open(tmp_path, "w", encoding="ascii", newline="") as handle:
+            handle.write(_SWEEP_COLUMNS + "\n")
+            for row in rows:
+                handle.write(",".join(row) + "\n")
+        os.replace(tmp_path, output_path)
     except OSError as exc:
         print(f"io: cannot write {output_path}: {exc.strerror or exc}", file=sys.stderr)
         return 4
-    with handle:
-        handle.write(_SWEEP_COLUMNS + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
     return 0
 
 
@@ -320,7 +329,6 @@ def cmd_expr(expression: str, config_path: str, cutoff_override=None, tol_overri
     if "state" not in config:
         raise ConfigError("config must contain a 'state' block")
     psi, _, _, _ = build_state(config["state"], cutoff_override, tol_override)
-    rho = states.density_from_pure(psi)
 
     try:
         query = dsl.parse(expression)
@@ -332,7 +340,7 @@ def cmd_expr(expression: str, config_path: str, cutoff_override=None, tol_overri
         return 5
 
     try:
-        result = dsl.evaluate(query, rho)
+        result = dsl.evaluate(query, psi)
     except dsl.LoweringError as exc:
         print(f"expr: {exc}", file=sys.stderr)
         return 5

@@ -27,7 +27,7 @@ import numpy as np
 from . import algebra
 from .algebra import A, AD, B, BD, ONE, OperatorPoly, expectation_poly, quadrature_poly, variance
 from .errors import NormalizationError
-from .fock import TOL_NORM, TOL_PSD, DensityOperator, hermitian_eigenvalues, partial_transpose_b
+from .fock import TOL_NORM, TOL_PSD, PureState, State, hermitian_eigenvalues, partial_transpose_b
 
 # Margin below a separable bound before a witness fires; keeps states that
 # merely saturate a bound (vacuum does, for several) out of the detections.
@@ -59,7 +59,7 @@ _U_SUM = quadrature_poly({"xa": 1.0, "xb": 1.0})
 _V_DIFF = quadrature_poly({"pa": 1.0, "pb": -1.0})
 
 
-def mancini_witness(rho: DensityOperator) -> CriterionReport:
+def mancini_witness(rho: State) -> CriterionReport:
     """Variance-product witness: separable states keep Var(u) Var(v) >= 1.
 
     Quantities carry both normalizations: M_x = Var(x_a+x_b) Var(p_a-p_b)
@@ -88,7 +88,7 @@ def mancini_witness(rho: DensityOperator) -> CriterionReport:
     )
 
 
-def duan_witness(rho: DensityOperator, m: float = 1.0) -> CriterionReport:
+def duan_witness(rho: State, m: float = 1.0) -> CriterionReport:
     """Variance-sum witness at gain m: separable states keep M >= m^2 + 1/m^2.
 
     The commutator floor |m^2 - 1/m^2| <= M holds for every state and is
@@ -115,7 +115,7 @@ def duan_witness(rho: DensityOperator, m: float = 1.0) -> CriterionReport:
     )
 
 
-def duan_mancini_relation(rho: DensityOperator) -> tuple[float, float, float]:
+def duan_mancini_relation(rho: State) -> tuple[float, float, float]:
     """(M, M_minus, M_x) at m=1; M^2 = M_minus^2 + 4 M_x identically."""
     var_u = variance(rho, _U_SUM)
     var_v = variance(rho, _V_DIFF)
@@ -147,7 +147,7 @@ _SU11_TERMS = {
 }
 
 
-def _pt_uncertainty_product(rho: DensityOperator, terms) -> tuple[float, float, float, float]:
+def _pt_uncertainty_product(rho: State, terms) -> tuple[float, float, float, float]:
     e_sym = expectation_poly(rho, terms[0]) + expectation_poly(rho, terms[1])
     e_pair = expectation_poly(rho, terms[2]) + expectation_poly(rho, terms[3])
     c_plus = expectation_poly(rho, terms[4])
@@ -158,7 +158,7 @@ def _pt_uncertainty_product(rho: DensityOperator, terms) -> tuple[float, float, 
     return bracket1, bracket2, bracket1 * bracket2, rhs
 
 
-def su2_pt_witness(rho: DensityOperator) -> CriterionReport:
+def su2_pt_witness(rho: State) -> CriterionReport:
     """Partially transposed uncertainty product for the S triple.
 
     lhs = [<ad a b bd> + <a ad bd b> + <ad^2 bd^2> + <a^2 b^2> - <ad bd + a b>^2]
@@ -182,7 +182,7 @@ def su2_pt_witness(rho: DensityOperator) -> CriterionReport:
     )
 
 
-def su11_pt_witness(rho: DensityOperator, mode: str = "ladder") -> CriterionReport:
+def su11_pt_witness(rho: State, mode: str = "ladder") -> CriterionReport:
     """Partially transposed uncertainty product for the K triple.
 
     Ladder mode evaluates
@@ -236,7 +236,7 @@ _QUAD_TERMS = {
 }
 
 
-def _su11_quadrature_brackets(rho: DensityOperator) -> tuple[float, float, float, float]:
+def _su11_quadrature_brackets(rho: State) -> tuple[float, float, float, float]:
     q = _QUAD_TERMS
     mean_xx = _real(expectation_poly(rho, q["xx"]), "<xa xb>")
     mean_pp = _real(expectation_poly(rho, q["pp"]), "<pa pb>")
@@ -262,12 +262,23 @@ def _su11_quadrature_brackets(rho: DensityOperator) -> tuple[float, float, float
 
 # -- exact partial-transpose test ---------------------------------------
 
-def ppt_witness(rho: DensityOperator) -> CriterionReport:
-    """Spectrum test: any eigenvalue of rho^PT below -tol certifies entanglement."""
-    pt = partial_transpose_b(rho)
-    eigs = hermitian_eigenvalues(pt.entries)
-    min_eig = float(eigs[0])
-    negativity = float(-np.sum(eigs[eigs < 0.0])) + 0.0  # +0.0 avoids "-0.0"
+def ppt_witness(rho: State) -> CriterionReport:
+    """Spectrum test: any eigenvalue of rho^PT below -tol certifies entanglement.
+
+    For a pure state the spectrum is known from the Schmidt coefficients
+    s_1 >= s_2 >= ... (the singular values of the amplitude grid): it is
+    {s_i^2} and {+-s_i s_j, i < j} padded with zeros, so the minimum is
+    -s_1 s_2 and the negativity is sum_{i<j} s_i s_j (Vidal & Werner,
+    PRA 65, 032314).  A density operator takes the dense eigensolve.
+    """
+    if isinstance(rho, PureState):
+        s = np.linalg.svd(rho.grid, compute_uv=False)
+        min_eig = float(-s[0] * s[1]) + 0.0  # +0.0 avoids "-0.0"
+        negativity = float(s[1:] @ np.cumsum(s)[:-1])
+    else:
+        eigs = hermitian_eigenvalues(partial_transpose_b(rho).entries)
+        min_eig = float(eigs[0])
+        negativity = float(-np.sum(eigs[eigs < 0.0])) + 0.0
     detected = min_eig < -TOL_PSD
     return CriterionReport(
         name="PPT",

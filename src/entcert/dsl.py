@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import algebra
 from .algebra import OperatorPoly, expectation_poly, variance
 from .errors import EntcertError, LexError, ParseError
-from .fock import DensityOperator
+from .fock import State
 
 OPERATOR_SYMBOLS = ("a", "ad", "b", "bd", "xa", "pa", "xb", "pb")
 
@@ -435,8 +435,8 @@ def _as_scalar(poly: OperatorPoly):
 _COMPARE_REAL_TOL = 1e-9
 
 
-def evaluate(node, rho: DensityOperator):
-    """Evaluate a query AST against a state.
+def evaluate(node, rho: State):
+    """Evaluate a query AST against a state (pure or density operator).
 
     Returns a complex number for value queries and a CompareResult for
     comparisons.  Comparisons are evaluated on the real parts after
@@ -450,7 +450,7 @@ def evaluate(node, rho: DensityOperator):
     return _evaluate_value(node, rho)
 
 
-def _evaluate_value(node, rho: DensityOperator) -> complex:
+def _evaluate_value(node, rho: State) -> complex:
     if isinstance(node, QNum):
         return complex(node.value)
     if isinstance(node, QParen):
@@ -485,6 +485,6 @@ def _to_real(value: complex, label: str) -> float:
     return value.real
 
 
-def evaluate_text(text: str, rho: DensityOperator):
+def evaluate_text(text: str, rho: State):
     """Parse and evaluate in one step."""
     return evaluate(parse(text), rho)

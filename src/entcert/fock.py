@@ -6,7 +6,7 @@ outer).  With that ordering a joint operator O_a (x) O_b is exactly
 ``np.kron(op_a, op_b)``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,15 +42,28 @@ class Cutoff:
         return n_a * self.d_b + n_b
 
 
+def _frozen_copy(values) -> np.ndarray:
+    """Private read-only complex copy, so no caller can change a state after the fact."""
+    arr = np.array(values, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over the joint truncated basis."""
+    """Normalized amplitude vector over the joint truncated basis.
+
+    The amplitudes are a read-only copy of the constructor's input, which
+    is what makes the per-state moment memo (filled by algebra.moment)
+    sound.
+    """
 
     amplitudes: np.ndarray
     cutoff: Cutoff
+    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _frozen_copy(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.cutoff.dim,):
             raise DimensionError(
@@ -63,12 +76,18 @@ class PureState:
     def amplitude(self, n_a: int, n_b: int) -> complex:
         return complex(self.amplitudes[self.cutoff.index(n_a, n_b)])
 
+    @property
+    def grid(self) -> np.ndarray:
+        """Amplitudes as a read-only d_a x d_b array indexed [n_a, n_b]."""
+        return self.amplitudes.reshape(self.cutoff.d_a, self.cutoff.d_b)
+
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace matrix on the joint truncated basis.
 
-    Hermiticity and trace are checked at construction.  Positivity is not:
+    Hermiticity and trace are checked at construction; ``entries`` is a
+    read-only copy of the input.  Positivity is not:
     the partial transpose of a state is carried by the same type and may
     have negative eigenvalues (that is what the PPT test looks for).
     """
@@ -77,7 +96,7 @@ class DensityOperator:
     cutoff: Cutoff
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = _frozen_copy(self.entries)
         object.__setattr__(self, "entries", mat)
         d = self.cutoff.dim
         if mat.shape != (d, d):
@@ -92,6 +111,11 @@ class DensityOperator:
     def is_positive(self, tol: float = TOL_PSD) -> bool:
         """True when all eigenvalues are >= -tol (physical state check)."""
         return bool(np.min(np.linalg.eigvalsh(self.entries)) >= -tol)
+
+
+# What moments and witnesses accept: a PureState is read straight from its
+# amplitude grid, a DensityOperator through dense matrices.
+State = PureState | DensityOperator
 
 
 def lowering_matrix(d: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, NormalizationError, TruncationError
-from .fock import TOL_NORM, Cutoff, DensityOperator, PureState, embed, lowering_matrix
+from .fock import TOL_NORM, Cutoff, DensityOperator, PureState
 
 DEFAULT_TRUNC_TOL = 1e-8
 
@@ -81,9 +81,10 @@ def photon_subtracted_tmsv(
     """Non-Gaussian state: one photon removed from each mode of the TMSV.
 
     Applies the joint lowering a (x) b to the (unnormalized) truncated TMSV
-    amplitudes and renormalizes.  kept_weight is quoted against the exact
-    infinite-cutoff subtracted state, whose squared norm is
-    t^2 (1 + t^2) / (1 - t^2)^2 with t = tanh r.
+    amplitudes and renormalizes; since a (x) b |n,n> = n |n-1,n-1>, the
+    result is n sech(r) (e^{i phi} tanh r)^n on |n-1,n-1>.  kept_weight is
+    quoted against the exact infinite-cutoff subtracted state, whose squared
+    norm is t^2 (1 + t^2) / (1 - t^2)^2 with t = tanh r.
     """
     if r < 0:
         raise ValueError(f"squeezing magnitude must be nonnegative, got r={r}")
@@ -91,11 +92,9 @@ def photon_subtracted_tmsv(
         raise DegenerateStateError("photon subtraction from vacuum (r=0) gives the zero vector")
     levels = min(cutoff.d_a, cutoff.d_b)
     diag = _tmsv_amplitudes(r, phi, levels)
-    raw = np.zeros(cutoff.dim, dtype=complex)
-    for n in range(levels):
-        raw[cutoff.index(n, n)] = diag[n]
-    joint_lower = embed(lowering_matrix(cutoff.d_a), lowering_matrix(cutoff.d_b))
-    sub = joint_lower @ raw
+    sub = np.zeros(cutoff.dim, dtype=complex)
+    for n in range(1, levels):
+        sub[cutoff.index(n - 1, n - 1)] = n * diag[n]
     t2 = math.tanh(r) ** 2
     exact_norm_sq = t2 * (1.0 + t2) / (1.0 - t2) ** 2
     kept = float(np.vdot(sub, sub).real / exact_norm_sq)

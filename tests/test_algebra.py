@@ -215,6 +215,24 @@ class TestMoments:
         rho = random_density(rng, c)
         assert moment(rho, IDENTITY_MONO) == pytest.approx(1.0)
 
+    def test_cached_matrix_is_read_only(self):
+        c = Cutoff(3, 3)
+        rho = density_from_pure(bell_xp_state(0.6, 0.8, c))
+        number_a = Monomial(1, 1, 0, 0)
+        mat = monomial_matrix(number_a, c)
+        with pytest.raises(ValueError):
+            mat[...] = 0.0
+        assert moment(rho, number_a) == pytest.approx(0.36)
+        assert monomial_matrix(number_a, c) is mat
+
+    def test_pure_moment_memoized_per_state(self):
+        psi = bell_xp_state(0.6, 0.8j, Cutoff(3, 3))
+        first = moment(psi, Monomial(1, 0, 0, 1))
+        assert first == pytest.approx(0.6 * 0.8j)
+        assert psi._moments == {Monomial(1, 0, 0, 1): first}
+        assert moment(psi, (1, 0, 0, 1)) == first
+        assert len(psi._moments) == 1
+
     def test_power_guard(self, rng):
         c = Cutoff(3, 3)
         rho = random_density(rng, c)
@@ -293,3 +311,15 @@ class TestVariance:
             poly = QUADRATURES["xa"] * QUADRATURES["xb"]
             shifted = poly + OperatorPoly.scalar(rng.standard_normal())
             assert variance(rho, shifted) == pytest.approx(variance(rho, poly), abs=1e-10)
+
+    def test_square_cache_is_bounded(self, rng):
+        from entcert import algebra
+
+        c = Cutoff(3, 3)
+        rho = random_density(rng, c)
+        for gain in np.linspace(0.5, 2.0, 200):
+            u = quadrature_poly({"xa": gain, "xb": 1.0 / gain})
+            assert variance(rho, u) == pytest.approx(
+                (expectation_poly(rho, u * u) - expectation_poly(rho, u) ** 2).real
+            )
+        assert algebra._square.cache_info().currsize <= 128

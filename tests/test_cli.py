@@ -114,6 +114,13 @@ class TestEvaluate:
             assert main(["evaluate", config]) == 2, payload
             assert capsys.readouterr().err.startswith("config:")
 
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_gain_is_config_error(self, tmp_path, capsys, gain):
+        # json.dumps writes NaN / Infinity literals, which json.load accepts.
+        config = write_config(tmp_path, bell_config(witnesses={"duan_m": [1.0, gain]}))
+        assert main(["evaluate", config]) == 2
+        assert capsys.readouterr().err == "config: witnesses.duan_m[1] must be finite\n"
+
     def test_unnormalized_bell_is_numeric_error(self, tmp_path, capsys):
         config = write_config(tmp_path, bell_config(alpha=1.0, beta=1.0))
         assert main(["evaluate", config]) == 3
@@ -194,6 +201,52 @@ class TestSweep:
         assert main(["sweep", config, str(tmp_path / "no_dir" / "x.csv")]) == 4
         assert capsys.readouterr().err.startswith("io:")
 
+    def test_non_finite_gain_is_config_error(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, {"sweep": {"n_theta": 2, "n_phi": 2, "m_values": [float("inf")]}}
+        )
+        out = tmp_path / "x.csv"
+        assert main(["sweep", config, str(out)]) == 2
+        assert capsys.readouterr().err == "config: sweep.m_values[0] must be finite\n"
+        assert not out.exists()
+
+    def test_failure_mid_run_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        from entcert import criteria
+
+        config = write_config(tmp_path, {"sweep": {"n_theta": 3, "n_phi": 2}})
+        real_ppt = criteria.ppt_witness
+        calls = []
+
+        def failing_ppt(state):
+            calls.append(state)
+            if len(calls) == 4:
+                raise ValueError("injected failure")
+            return real_ppt(state)
+
+        monkeypatch.setattr(criteria, "ppt_witness", failing_ppt)
+        out = tmp_path / "scan.csv"
+        assert main(["sweep", config, str(out)]) == 3
+        assert capsys.readouterr().err == "numeric: injected failure\n"
+        assert len(calls) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_failure_keeps_previous_output(self, tmp_path, capsys):
+        # At 2x2 the fourth-order witnesses trip the power guard on the first row.
+        config = write_config(tmp_path, {"sweep": {"n_theta": 2, "n_phi": 1}})
+        out = tmp_path / "scan.csv"
+        out.write_text("previous\n")
+        assert main(["sweep", config, str(out), "--cutoff", "2", "2"]) == 3
+        assert capsys.readouterr().err.startswith("numeric:")
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "scan.csv"]
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"sweep": {"n_theta": 1, "n_phi": 1}})
+        (tmp_path / "taken").mkdir()
+        assert main(["sweep", config, str(tmp_path / "taken")]) == 4
+        assert capsys.readouterr().err.startswith("io:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
     def test_missing_sweep_block(self, tmp_path, capsys):
         config = write_config(tmp_path, bell_config())
         assert main(["sweep", config, str(tmp_path / "x.csv")]) == 2
@@ -265,3 +318,40 @@ class TestOverrides:
         assert main(["evaluate", config, "--tol", "1e-4"]) == 0
         output = json.loads(capsys.readouterr().out)
         assert output["truncation"]["kept_weight"] >= 1.0 - 1e-4
+
+
+class TestPureStatePath:
+    """Every CLI state is pure; no command expands it into a density matrix."""
+
+    @pytest.fixture(autouse=True)
+    def _no_density(self, monkeypatch):
+        from entcert import states
+
+        def refuse(psi):
+            raise AssertionError("density_from_pure called on the CLI path")
+
+        monkeypatch.setattr(states, "density_from_pure", refuse)
+
+    def test_evaluate(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {
+                "state": {
+                    "kind": "photon_subtracted_tmsv", "r": 0.3, "phi": 0.5,
+                    "cutoff": {"d_a": 16, "d_b": 16},
+                },
+                "witnesses": {"duan_m": [0.5, 1.0]},
+            },
+        )
+        assert main(["evaluate", config]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert reports["ppt"]["entangled_detected"]
+
+    def test_sweep(self, tmp_path):
+        config = write_config(tmp_path, {"sweep": {"n_theta": 3, "n_phi": 2}})
+        assert main(["sweep", config, str(tmp_path / "scan.csv")]) == 0
+
+    def test_expr(self, tmp_path, capsys):
+        config = write_config(tmp_path, bell_config(alpha=0.6, beta=0.8))
+        assert main(["expr", "E[ad*a]", config]) == 0
+        assert json.loads(capsys.readouterr().out)["re"] == pytest.approx(0.36)

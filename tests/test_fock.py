@@ -227,3 +227,28 @@ class TestStateTypes:
     def test_quadrature_convention_vacuum_variance(self):
         # Sanity link between the quadrature table and the matrices used here.
         assert set(QUADRATURES) == {"xa", "pa", "xb", "pb"}
+
+
+class TestReadOnlyArrays:
+    def test_pure_amplitudes_read_only(self):
+        psi = bell_xp_state(0.6, 0.8, Cutoff(2, 2))
+        with pytest.raises(ValueError):
+            psi.amplitudes[0] = 1.0
+        with pytest.raises(ValueError):
+            psi.grid[0, 0] = 1.0
+
+    def test_density_entries_read_only(self):
+        rho = density_from_pure(bell_xp_state(0.6, 0.8, Cutoff(2, 2)))
+        with pytest.raises(ValueError):
+            rho.entries[0, 0] = 1.0
+
+    def test_constructors_do_not_alias_input(self):
+        c = Cutoff(2, 2)
+        vec = np.array([0.6, 0.8, 0.0, 0.0], dtype=complex)
+        psi = PureState(vec, c)
+        vec[0] = 5.0
+        assert psi.amplitudes[0] == 0.6
+        mat = np.eye(4, dtype=complex) / 4.0
+        rho = DensityOperator(mat, c)
+        mat[0, 0] = 5.0
+        assert rho.entries[0, 0] == 0.25

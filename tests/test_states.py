@@ -17,7 +17,7 @@ from entcert import (
     two_mode_squeezed_vacuum,
 )
 
-from conftest import random_bell_params
+from conftest import random_bell_params, word_matrix
 
 SQRT_HALF = 2.0**-0.5
 
@@ -122,6 +122,25 @@ class TestPhotonSubtractedTmsv:
         expected /= np.linalg.norm(expected)
         psi, _ = photon_subtracted_tmsv(r, phi, c)
         assert np.max(np.abs(psi.amplitudes - expected)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "r, phi, d_a, d_b",
+        [(0.5, np.pi, 20, 20), (0.3, 1.2, 16, 18), (0.2, -0.4, 14, 12), (0.6, 0.0, 8, 6)],
+    )
+    def test_matches_joint_lowering_of_raw_tmsv(self, r, phi, d_a, d_b):
+        # The old construction: apply the dense a (x) b to the unnormalized
+        # truncated TMSV amplitudes sech(r) (e^{i phi} tanh r)^n on |n,n>.
+        c = Cutoff(d_a, d_b)
+        lam = np.exp(1j * phi) * np.tanh(r)
+        raw = np.zeros(c.dim, dtype=complex)
+        for n in range(min(d_a, d_b)):
+            raw[c.index(n, n)] = lam**n / np.cosh(r)
+        sub = word_matrix(["a", "b"], c) @ raw
+        t2 = np.tanh(r) ** 2
+        kept = np.vdot(sub, sub).real / (t2 * (1.0 + t2) / (1.0 - t2) ** 2)
+        psi, report = photon_subtracted_tmsv(r, phi, c, trunc_tol=0.5)
+        assert np.max(np.abs(psi.amplitudes - sub / np.linalg.norm(sub))) < 1e-14
+        assert abs(report.kept_weight - kept) < 1e-14
 
     def test_output_normalized(self):
         psi, _ = photon_subtracted_tmsv(0.3, np.pi, Cutoff(16, 16))
