@@ -153,12 +153,6 @@ class OperatorPoly:
         monos = set(self.terms) | set(adj.terms)
         return all(abs(self.terms.get(m, 0.0) - adj.terms.get(m, 0.0)) <= tol for m in monos)
 
-    def max_mode_powers(self) -> tuple[int, int]:
-        """Largest adag+a and bdag+b over all stored monomials."""
-        pa = max((m.adag + m.a for m in self.terms), default=0)
-        pb = max((m.bdag + m.b for m in self.terms), default=0)
-        return pa, pb
-
     # -- comparison / display -----------------------------------------
 
     def __eq__(self, other) -> bool:

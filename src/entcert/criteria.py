@@ -124,60 +124,81 @@ def duan_mancini_relation(rho: State) -> tuple[float, float, float]:
 
 # -- fourth-order witnesses --------------------------------------------
 
-# Expectations entering the transposed S-triple (angular-momentum) test.
-_SU2_TERMS = {
-    "ad_a_b_bd": AD * A * B * BD,
-    "a_ad_bd_b": A * AD * BD * B,
-    "ad2_bd2": AD * AD * BD * BD,
-    "a2_b2": A * A * B * B,
-    "cross_plus": AD * BD + A * B,
-    "cross_minus": AD * BD - A * B,
-    "z": AD * A - BD * B,
-}
-
-# Expectations entering the transposed K-triple (squeezing) test.
-_SU11_TERMS = {
-    "ad_a_bd_b": AD * A * BD * B,
-    "a_ad_b_bd": A * AD * B * BD,
-    "ad2_b2": AD * AD * B * B,
-    "a2_bd2": A * A * BD * BD,
-    "cross_plus": AD * B + A * BD,
-    "cross_minus": AD * B - A * BD,
-    "z": AD * A + B * BD,
+# Operator polynomials as built here, next to the DSL text that must lower
+# to exactly the same canonical form (see tests).  K_*_quad is the K triple
+# written in quadratures; it lowers to K_* up to round-off.
+_XA, _PA, _XB, _PB = (algebra.QUADRATURES[s] for s in ("xa", "pa", "xb", "pb"))
+BUILTIN_OPERATORS: dict[str, tuple[OperatorPoly, str]] = {
+    "S_x": ((AD * B + A * BD) * 0.5, "(ad*b+a*bd)/2"),
+    "S_y": ((AD * B - A * BD) * (1.0 / 2j), "(ad*b-a*bd)/(2*i)"),
+    "S_z": ((AD * A - BD * B) * 0.5, "(ad*a-bd*b)/2"),
+    "K_x": ((AD * BD + A * B) * 0.5, "(ad*bd+a*b)/2"),
+    "K_y": ((AD * BD - A * B) * (1.0 / 2j), "(ad*bd-a*b)/(2*i)"),
+    "K_z": ((AD * A + BD * B + ONE) * 0.5, "(ad*a+bd*b+1)/2"),
+    "K_x_quad": ((_XA * _XB - _PA * _PB) * 0.5, "(xa*xb-pa*pb)/2"),
+    "K_y_quad": (-(_XA * _PB + _PA * _XB) * 0.5, "-(xa*pb+pa*xb)/2"),
+    "K_z_quad": ((_XA**2 + _PA**2 + _XB**2 + _PB**2) * 0.25, "(xa^2+pa^2+xb^2+pb^2)/4"),
+    "u_sum": (_U_SUM, "xa+xb"),
+    "v_diff": (_V_DIFF, "pa-pb"),
 }
 
 
-def _pt_uncertainty_product(rho: State, terms) -> tuple[float, float, float, float]:
-    e_sym = expectation_poly(rho, terms[0]) + expectation_poly(rho, terms[1])
-    e_pair = expectation_poly(rho, terms[2]) + expectation_poly(rho, terms[3])
-    c_plus = expectation_poly(rho, terms[4])
-    c_minus = expectation_poly(rho, terms[5])
-    bracket1 = _real(e_sym + e_pair - c_plus * c_plus, "first uncertainty bracket")
-    bracket2 = _real(e_sym - e_pair + c_minus * c_minus, "second uncertainty bracket")
-    rhs = abs(expectation_poly(rho, terms[6])) ** 2
-    return bracket1, bracket2, bracket1 * bracket2, rhs
+def _pt_triple(x: str, y: str, z: str) -> tuple:
+    """((2X)^PT, ((2X)^2)^PT) for X and for Y, and (2Z)^PT, from named operators.
+
+    <O> on rho^PT is <O^PT> on rho, so the means of these polynomials on
+    rho are the moments of 2X, 2Y and 2Z on rho^PT.  The transpose
+    reverses mode-b products, so the second moment transposes (2X)^2 as
+    a whole rather than squaring (2X)^PT.
+    """
+    ops = [BUILTIN_OPERATORS[name][0] * 2.0 for name in (x, y, z)]
+    pairs = tuple((op.partial_transpose_b(), (op * op).partial_transpose_b()) for op in ops[:2])
+    return pairs, ops[2].partial_transpose_b()
+
+
+_SU2_PT = _pt_triple("S_x", "S_y", "S_z")
+_SU11_PT = {
+    "ladder": _pt_triple("K_x", "K_y", "K_z"),
+    "quadrature": _pt_triple("K_x_quad", "K_y_quad", "K_z_quad"),
+}
+
+
+def _pt_uncertainty_report(rho: State, triple, name: str, conventions: str) -> CriterionReport:
+    """Uncertainty product of (X, Y, Z) on rho^PT: bracket1 = 4 Var(X),
+    bracket2 = 4 Var(Y), rhs = |2<Z>|^2; a separable state's rho^PT is a
+    state, so it keeps lhs = bracket1 * bracket2 >= rhs."""
+    pairs, z = triple
+    brackets = []
+    for (mean_poly, square_poly), which in zip(pairs, ("first", "second")):
+        mean = expectation_poly(rho, mean_poly)
+        second = expectation_poly(rho, square_poly)
+        brackets.append(_real(second - mean * mean, f"{which} uncertainty bracket"))
+    bracket1, bracket2 = brackets
+    lhs = bracket1 * bracket2
+    rhs = abs(expectation_poly(rho, z)) ** 2
+    detected = lhs < rhs - DETECTION_MARGIN
+    return CriterionReport(
+        name=name,
+        quantities={"lhs": lhs, "rhs": rhs, "bracket1": bracket1, "bracket2": bracket2},
+        separable_bound_holds=not detected,
+        entangled_detected=detected,
+        conventions=conventions,
+    )
 
 
 def su2_pt_witness(rho: State) -> CriterionReport:
     """Partially transposed uncertainty product for the S triple.
 
+    In moments of rho,
     lhs = [<ad a b bd> + <a ad bd b> + <ad^2 bd^2> + <a^2 b^2> - <ad bd + a b>^2]
         * [<ad a b bd> + <a ad bd b> - <ad^2 bd^2> - <a^2 b^2> + <ad bd - a b>^2]
     rhs = |<ad a - bd b>|^2;  separable states keep lhs >= rhs.
     """
-    t = _SU2_TERMS
-    order = (
-        t["ad_a_b_bd"], t["a_ad_bd_b"], t["ad2_bd2"], t["a2_b2"],
-        t["cross_plus"], t["cross_minus"], t["z"],
-    )
-    bracket1, bracket2, lhs, rhs = _pt_uncertainty_product(rho, order)
-    detected = lhs < rhs - DETECTION_MARGIN
-    return CriterionReport(
-        name="SU2PT",
-        quantities={"lhs": lhs, "rhs": rhs, "bracket1": bracket1, "bracket2": bracket2},
-        separable_bound_holds=not detected,
-        entangled_detected=detected,
-        conventions="brackets equal 4*Var of the transposed S_x, S_y; "
+    return _pt_uncertainty_report(
+        rho,
+        _SU2_PT,
+        "SU2PT",
+        "brackets equal 4*Var of the transposed S_x, S_y; "
         "<ad bd - a b> is imaginary so its square enters <= 0",
     )
 
@@ -185,79 +206,26 @@ def su2_pt_witness(rho: State) -> CriterionReport:
 def su11_pt_witness(rho: State, mode: str = "ladder") -> CriterionReport:
     """Partially transposed uncertainty product for the K triple.
 
-    Ladder mode evaluates
+    In moments of rho,
     lhs = [<ad a bd b> + <a ad b bd> + <ad^2 b^2> + <a^2 bd^2> - <ad b + a bd>^2]
         * [<ad a bd b> + <a ad b bd> - <ad^2 b^2> - <a^2 bd^2> + <ad b - a bd>^2]
-    rhs = |<ad a + b bd>|^2;  quadrature mode evaluates the identical
-    inequality written with position/momentum moments.  Violation
-    (lhs < rhs) certifies entanglement.
+    rhs = |<ad a + b bd>|^2.  Ladder mode takes the triple in ladder
+    operators, quadrature mode the same triple written in xa, pa, xb, pb.
+    Violation (lhs < rhs) certifies entanglement.
 
     On the one-excitation Bell family the margin reduces to
     lhs - rhs = -8 * (|a* b|^2 - 2 Re(a* b)^2 Im(a* b)^2), so detection
     occurs exactly when alpha*beta != 0.
     """
-    if mode == "ladder":
-        t = _SU11_TERMS
-        order = (
-            t["ad_a_bd_b"], t["a_ad_b_bd"], t["ad2_b2"], t["a2_bd2"],
-            t["cross_plus"], t["cross_minus"], t["z"],
-        )
-        bracket1, bracket2, lhs, rhs = _pt_uncertainty_product(rho, order)
-    elif mode == "quadrature":
-        bracket1, bracket2, lhs, rhs = _su11_quadrature_brackets(rho)
-    else:
+    if mode not in _SU11_PT:
         raise ValueError(f"mode must be 'ladder' or 'quadrature', got {mode!r}")
-    detected = lhs < rhs - DETECTION_MARGIN
-    return CriterionReport(
-        name="SU11PT",
-        quantities={"lhs": lhs, "rhs": rhs, "bracket1": bracket1, "bracket2": bracket2},
-        separable_bound_holds=not detected,
-        entangled_detected=detected,
-        conventions=f"mode={mode}; brackets equal 4*Var of the transposed K_x, K_y; "
+    return _pt_uncertainty_report(
+        rho,
+        _SU11_PT[mode],
+        "SU11PT",
+        f"mode={mode}; brackets equal 4*Var of the transposed K_x, K_y; "
         "Bell-family margin is -8*(|a*b|^2 - 2 Re^2 Im^2)",
     )
-
-
-_XA = algebra.QUADRATURES["xa"]
-_PA = algebra.QUADRATURES["pa"]
-_XB = algebra.QUADRATURES["xb"]
-_PB = algebra.QUADRATURES["pb"]
-
-_QUAD_TERMS = {
-    "xx": _XA * _XB,
-    "pp": _PA * _PB,
-    "xp": _XA * _PB,
-    "px": _PA * _XB,
-    "xa_pa_pb_xb": _XA * _PA * _PB * _XB,
-    "pa_xa_xb_pb": _PA * _XA * _XB * _PB,
-    "xa_pa_xb_pb": _XA * _PA * _XB * _PB,
-    "pa_xa_pb_xb": _PA * _XA * _PB * _XB,
-    "sum_sq": _XA * _XA + _PA * _PA + _XB * _XB + _PB * _PB,
-}
-
-
-def _su11_quadrature_brackets(rho: State) -> tuple[float, float, float, float]:
-    q = _QUAD_TERMS
-    mean_xx = _real(expectation_poly(rho, q["xx"]), "<xa xb>")
-    mean_pp = _real(expectation_poly(rho, q["pp"]), "<pa pb>")
-    mixed1 = expectation_poly(rho, q["xa_pa_pb_xb"]) + expectation_poly(rho, q["pa_xa_xb_pb"])
-    bracket1 = (
-        variance(rho, q["xx"])
-        + variance(rho, q["pp"])
-        + _real(mixed1, "<xa pa pb xb> + <pa xa xb pb>")
-        - 2.0 * mean_xx * mean_pp
-    )
-    mean_xp = _real(expectation_poly(rho, q["xp"]), "<xa pb>")
-    mean_px = _real(expectation_poly(rho, q["px"]), "<pa xb>")
-    mixed2 = expectation_poly(rho, q["xa_pa_xb_pb"]) + expectation_poly(rho, q["pa_xa_pb_xb"])
-    bracket2 = (
-        variance(rho, q["xp"])
-        + variance(rho, q["px"])
-        - _real(mixed2, "<xa pa xb pb> + <pa xa pb xb>")
-        + 2.0 * mean_xp * mean_px
-    )
-    rhs = 0.25 * abs(expectation_poly(rho, q["sum_sq"])) ** 2
-    return bracket1, bracket2, bracket1 * bracket2, rhs
 
 
 # -- exact partial-transpose test ---------------------------------------
@@ -324,19 +292,6 @@ def bell_closed_forms(alpha: complex, beta: complex, m: float = 1.0) -> dict:
 
 
 # -- DSL cross-check registry -------------------------------------------
-
-# Operator polynomials as built above, next to the DSL text that must
-# lower to exactly the same canonical form (see tests).
-BUILTIN_OPERATORS: dict[str, tuple[OperatorPoly, str]] = {
-    "S_x": ((AD * B + A * BD) * 0.5, "(ad*b+a*bd)/2"),
-    "S_y": ((AD * B - A * BD) * (1.0 / 2j), "(ad*b-a*bd)/(2*i)"),
-    "S_z": ((AD * A - BD * B) * 0.5, "(ad*a-bd*b)/2"),
-    "K_x": ((AD * BD + A * B) * 0.5, "(ad*bd+a*b)/2"),
-    "K_y": ((AD * BD - A * B) * (1.0 / 2j), "(ad*bd-a*b)/(2*i)"),
-    "K_z": ((AD * A + BD * B + ONE) * 0.5, "(ad*a+bd*b+1)/2"),
-    "u_sum": (_U_SUM, "xa+xb"),
-    "v_diff": (_V_DIFF, "pa-pb"),
-}
 
 # Full witness inequalities in DSL form; each evaluates to the same verdict
 # as the corresponding function above (up to the detection margin).

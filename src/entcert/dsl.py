@@ -17,7 +17,8 @@ Grammar (whitespace insensitive; ``-`` also accepts the unicode minus):
 Operator symbols do not commute under "*"; all commutation rewriting
 happens in the lowering pass.  Division is only defined by complex
 scalars and is folded into coefficients.  ``i`` is the imaginary unit and
-``abs2(z)`` is |z|^2.
+``abs2(z)`` is |z|^2.  Numbers, parentheses and ``+ - * /`` parse into the
+same nodes at both levels.
 """
 
 import re
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 from . import algebra
 from .algebra import OperatorPoly, expectation_poly, variance
+from .criteria import DETECTION_MARGIN
 from .errors import EntcertError, LexError, ParseError
 from .fock import State
 
@@ -102,21 +104,9 @@ class Abs2:
     arg: object
 
 
-@dataclass(frozen=True)
-class QNum:
-    value: float
-
-
-@dataclass(frozen=True)
-class QParen:
-    inner: object
-
-
-@dataclass(frozen=True)
-class QBinary:
-    op: str  # "+", "-", "*", "/"
-    left: object
-    right: object
+# Both levels share the arithmetic nodes: operator expressions fold them
+# into polynomials, query arithmetic into complex numbers.
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
 
 @dataclass(frozen=True)
@@ -207,6 +197,13 @@ class _Parser:
             self._fail(expected)
         return self._advance()
 
+    def _chain(self, operand, ops):
+        """operand ((op) operand)*, folded left into Add/Sub/Mul/Div nodes."""
+        node = operand()
+        while self.current.kind in ops:
+            node = _BINARY[self._advance().kind](node, operand())
+        return node
+
     # query level ----------------------------------------------------
 
     def parse_query(self):
@@ -222,18 +219,10 @@ class _Parser:
         return node
 
     def parse_arith(self):
-        node = self.parse_aterm()
-        while self.current.kind in ("+", "-"):
-            op = self._advance().kind
-            node = QBinary(op, node, self.parse_aterm())
-        return node
+        return self._chain(self.parse_aterm, ("+", "-"))
 
     def parse_aterm(self):
-        node = self.parse_afact()
-        while self.current.kind in ("*", "/"):
-            op = self._advance().kind
-            node = QBinary(op, node, self.parse_afact())
-        return node
+        return self._chain(self.parse_afact, ("*", "/"))
 
     def parse_afact(self):
         tok = self.current
@@ -257,31 +246,21 @@ class _Parser:
             return Abs2(arg)
         if tok.kind == "number":
             self._advance()
-            return QNum(float(tok.text))
+            return ComplexLiteral(complex(float(tok.text)))
         if tok.kind == "(":
             self._advance()
             inner = self.parse_arith()
             self._expect(")", "')'")
-            return QParen(inner)
+            return Paren(inner)
         self._fail("E[...], Var[...], abs2(...), a number, or '('")
 
     # operator-expression level ---------------------------------------
 
     def parse_expr(self):
-        node = self.parse_term()
-        while self.current.kind in ("+", "-"):
-            op = self._advance().kind
-            right = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+        return self._chain(self.parse_term, ("+", "-"))
 
     def parse_term(self):
-        node = self.parse_factor()
-        while self.current.kind in ("*", "/"):
-            op = self._advance().kind
-            right = self.parse_factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
-        return node
+        return self._chain(self.parse_factor, ("*", "/"))
 
     def parse_factor(self):
         if self.current.kind == "-":
@@ -333,48 +312,39 @@ def parse_operator(text: str):
 
 # -- printing (round-trip) ------------------------------------------------
 
+_INFIX = {node_type: op for op, node_type in _BINARY.items()}
+
+
 def format_expr(node) -> str:
+    """Text that parses back to ``node``, at either level."""
+    if type(node) in _INFIX:
+        return f"{format_expr(node.left)}{_INFIX[type(node)]}{format_expr(node.right)}"
+    if isinstance(node, Compare):
+        return f"{format_expr(node.left)}{node.relation}{format_expr(node.right)}"
     if isinstance(node, ComplexLiteral):
         return _format_number(node.value)
     if isinstance(node, Symbol):
         return node.name
     if isinstance(node, Neg):
         return "-" + format_expr(node.operand)
-    if isinstance(node, Add):
-        return f"{format_expr(node.left)}+{format_expr(node.right)}"
-    if isinstance(node, Sub):
-        return f"{format_expr(node.left)}-{format_expr(node.right)}"
-    if isinstance(node, Mul):
-        return f"{format_expr(node.left)}*{format_expr(node.right)}"
-    if isinstance(node, Div):
-        return f"{format_expr(node.left)}/{format_expr(node.right)}"
     if isinstance(node, Pow):
         return f"{format_expr(node.base)}^{node.exponent}"
     if isinstance(node, Paren):
         return f"({format_expr(node.inner)})"
-    raise TypeError(f"not an operator-expression node: {node!r}")
-
-
-def format_query(node) -> str:
-    if isinstance(node, Compare):
-        return f"{format_query(node.left)}{node.relation}{format_query(node.right)}"
-    if isinstance(node, QBinary):
-        return f"{format_query(node.left)}{node.op}{format_query(node.right)}"
-    if isinstance(node, QParen):
-        return f"({format_query(node.inner)})"
-    if isinstance(node, QNum):
-        return _format_number(node.value)
     if isinstance(node, EQuery):
         return f"E[{format_expr(node.expr)}]"
     if isinstance(node, VarQuery):
         return f"Var[{format_expr(node.expr)}]"
     if isinstance(node, Abs2):
-        return f"abs2({format_query(node.arg)})"
-    raise TypeError(f"not a query node: {node!r}")
+        return f"abs2({format_expr(node.arg)})"
+    raise TypeError(f"not an expression or query node: {node!r}")
 
 
-def _format_number(value) -> str:
-    real = value.real if isinstance(value, complex) else float(value)
+format_query = format_expr
+
+
+def _format_number(value: complex) -> str:
+    real = value.real
     if real == int(real) and abs(real) < 1e15:
         return str(int(real))
     return repr(real)
@@ -440,20 +410,23 @@ def evaluate(node, rho: State):
 
     Returns a complex number for value queries and a CompareResult for
     comparisons.  Comparisons are evaluated on the real parts after
-    checking the imaginary parts are negligible.
+    checking the imaginary parts are negligible, with the witnesses' rule:
+    lhs < rhs only when lhs falls below rhs by more than DETECTION_MARGIN,
+    so a state that saturates a bound holds it whatever the round-off.
     """
     if isinstance(node, Compare):
         lhs = _to_real(_evaluate_value(node.left, rho), "left side of comparison")
         rhs = _to_real(_evaluate_value(node.right, rho), "right side of comparison")
-        holds = lhs >= rhs if node.relation == ">=" else lhs < rhs
+        bound = rhs - DETECTION_MARGIN
+        holds = lhs >= bound if node.relation == ">=" else lhs < bound
         return CompareResult(lhs=lhs, rhs=rhs, holds=holds, relation=node.relation)
     return _evaluate_value(node, rho)
 
 
 def _evaluate_value(node, rho: State) -> complex:
-    if isinstance(node, QNum):
-        return complex(node.value)
-    if isinstance(node, QParen):
+    if isinstance(node, ComplexLiteral):
+        return node.value
+    if isinstance(node, Paren):
         return _evaluate_value(node.inner, rho)
     if isinstance(node, EQuery):
         return expectation_poly(rho, lower(node.expr))
@@ -464,14 +437,14 @@ def _evaluate_value(node, rho: State) -> complex:
         return complex(variance(rho, poly))
     if isinstance(node, Abs2):
         return complex(abs(_evaluate_value(node.arg, rho)) ** 2)
-    if isinstance(node, QBinary):
+    if isinstance(node, (Add, Sub, Mul, Div)):
         left = _evaluate_value(node.left, rho)
         right = _evaluate_value(node.right, rho)
-        if node.op == "+":
+        if isinstance(node, Add):
             return left + right
-        if node.op == "-":
+        if isinstance(node, Sub):
             return left - right
-        if node.op == "*":
+        if isinstance(node, Mul):
             return left * right
         if right == 0:
             raise LoweringError("division by zero in query arithmetic")

@@ -108,10 +108,6 @@ class DensityOperator:
         if abs(tr - 1.0) > TOL_TRACE:
             raise NormalizationError(f"density matrix trace {tr!r} differs from 1")
 
-    def is_positive(self, tol: float = TOL_PSD) -> bool:
-        """True when all eigenvalues are >= -tol (physical state check)."""
-        return bool(np.min(np.linalg.eigvalsh(self.entries)) >= -tol)
-
 
 # What moments and witnesses accept: a PureState is read straight from its
 # amplitude grid, a DensityOperator through dense matrices.
@@ -145,13 +141,7 @@ def partial_transpose_b(rho: DensityOperator) -> DensityOperator:
     Preserves trace and Hermiticity; the result is generally not positive
     semidefinite, which is exactly what the PPT criterion exploits.
     """
-    d_a, d_b = rho.cutoff.d_a, rho.cutoff.d_b
-    pt = (
-        rho.entries.reshape(d_a, d_b, d_a, d_b)
-        .transpose(0, 3, 2, 1)
-        .reshape(rho.cutoff.dim, rho.cutoff.dim)
-    )
-    return DensityOperator(pt, rho.cutoff)
+    return DensityOperator(partial_transpose_matrix(rho.entries, rho.cutoff), rho.cutoff)
 
 
 def partial_transpose_matrix(op: np.ndarray, cutoff: Cutoff) -> np.ndarray:

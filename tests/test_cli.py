@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from entcert.cli import main
 
 SQRT_HALF = 2.0**-0.5
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_golden.csv"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -180,6 +182,17 @@ class TestSweep:
         assert main(["sweep", config, str(first)]) == 0
         assert main(["sweep", config, str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_matches_golden_csv(self, tmp_path):
+        # Reference output recorded before the partially transposed witnesses
+        # were rebuilt on operator triples; sweep output bytes must not move.
+        config = write_config(
+            tmp_path,
+            {"sweep": {"n_theta": 5, "n_phi": 4, "m_values": [0.5, 1, 2]}},
+        )
+        out = tmp_path / "scan.csv"
+        assert main(["sweep", config, str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_SWEEP.read_bytes()
 
     def test_row_order_theta_outer(self, tmp_path):
         config = write_config(

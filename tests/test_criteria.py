@@ -195,13 +195,14 @@ class TestSu11PtWitness:
         c = Cutoff(6, 6)
         for _ in range(10):
             rho = random_density(rng, c, levels_a=3, levels_b=3)
-            report = su11_pt_witness(rho)
             pt = partial_transpose_b(rho)
-            for poly, key in ((k_x, "bracket1"), (k_y, "bracket2")):
-                mean = expectation_poly(pt, poly)
-                second = expectation_poly(pt, poly * poly)
-                var_pt = (second - mean * mean).real
-                assert report.quantities[key] == pytest.approx(4.0 * var_pt, abs=1e-10)
+            for mode in ("ladder", "quadrature"):
+                report = su11_pt_witness(rho, mode)
+                for poly, key in ((k_x, "bracket1"), (k_y, "bracket2")):
+                    mean = expectation_poly(pt, poly)
+                    second = expectation_poly(pt, poly * poly)
+                    var_pt = (second - mean * mean).real
+                    assert report.quantities[key] == pytest.approx(4.0 * var_pt, abs=1e-10), mode
 
     def test_invalid_mode(self, vacuum):
         with pytest.raises(ValueError):

@@ -201,6 +201,14 @@ class TestEvaluation:
         result = evaluate_text(BUILTIN_QUERIES["su2_pt"], bell_half)
         assert result.holds is True
 
+    @pytest.mark.parametrize("relation, holds", [(">=", True), ("<", False)])
+    def test_comparison_uses_detection_margin(self, relation, holds):
+        # <ad a> = 1 on |1,0>; a bound 5e-11 above it sits inside the margin
+        one_zero = bell_xp_state(1.0, 0.0, Cutoff(3, 3))
+        result = evaluate_text(f"E[ad*a] {relation} 1.00000000005", one_zero)
+        assert result.lhs == 1.0
+        assert result.holds is holds
+
     def test_var_requires_hermitian(self, vacuum):
         with pytest.raises(LoweringError):
             evaluate_text("Var[a]", vacuum)
