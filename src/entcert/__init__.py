@@ -13,7 +13,6 @@ from .algebra import (
     QUADRATURES,
     expectation_poly,
     moment,
-    monomial_matrix,
     quadrature_poly,
     variance,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "density_from_pure",
     "quadrature_poly",
     "moment",
-    "monomial_matrix",
     "expectation_poly",
     "variance",
     "mancini_witness",

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import HermiticityError, PowerGuardError
-from .fock import Cutoff, PureState, State, embed, lowering_matrix
+from .fock import Cutoff, PureState, State
 
 SQRT2 = math.sqrt(2.0)
 
@@ -205,25 +205,6 @@ def quadrature_poly(coeffs: Mapping[str, float]) -> OperatorPoly:
 
 # -- evaluation against states ----------------------------------------
 
-_matrix_cache: dict[tuple[int, int, Monomial], np.ndarray] = {}
-
-
-def monomial_matrix(mono: Monomial, cutoff: Cutoff) -> np.ndarray:
-    """Dense joint matrix of the normal-ordered word at the given cutoff (read-only)."""
-    key = (cutoff.d_a, cutoff.d_b, mono)
-    cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
-    low_a = lowering_matrix(cutoff.d_a)
-    low_b = lowering_matrix(cutoff.d_b)
-    op_a = np.linalg.matrix_power(low_a.conj().T, mono.adag) @ np.linalg.matrix_power(low_a, mono.a)
-    op_b = np.linalg.matrix_power(low_b.conj().T, mono.bdag) @ np.linalg.matrix_power(low_b, mono.b)
-    mat = embed(op_a, op_b)
-    mat.setflags(write=False)
-    _matrix_cache[key] = mat
-    return mat
-
-
 def _check_power_guard(powers_a: int, powers_b: int, cutoff: Cutoff) -> None:
     if powers_a >= cutoff.d_a or powers_b >= cutoff.d_b:
         raise PowerGuardError(
@@ -244,22 +225,34 @@ def _lowering_weights(n: int, size: int) -> np.ndarray:
     return weight
 
 
-def _pure_moment(psi: PureState, mono: Monomial) -> complex:
-    """<psi|adag^m a^n bdag^p b^q|psi> = <a^m b^p psi | a^n b^q psi>.
+def _shifted_moment(state: State, mono: Monomial) -> complex:
+    """<adag^m a^n bdag^p b^q>, read from the shifted diagonal of the state.
 
-    Each factor is a weighted shift of the d_a x d_b amplitude grid; only
-    the corner both shifted grids cover can contribute to the overlap.
+    adag^m a^n takes |t+n> to |t+m> with weight w_n(t) w_m(t), where
+    w_n = _lowering_weights(n, .), and gives zero for t >= d - max(m, n),
+    where the truncated raising runs off the top level.  So only a
+    rows x cols corner of (t_a, t_b) contributes.  A pure state gives the
+    overlap <a^m b^p psi | a^n b^q psi> of two weighted shifts of its
+    amplitude grid; a density operator gives the weighted sum of
+    rho[(t_a+n, t_b+q), (t_a+m, t_b+p)], one strided diagonal of its entries.
     """
     m, n, p, q = mono
-    rows = psi.cutoff.d_a - max(m, n)
-    cols = psi.cutoff.d_b - max(p, q)
-    grid = psi.grid
+    d_a, d_b = state.cutoff.d_a, state.cutoff.d_b
+    rows = d_a - max(m, n)
+    cols = d_b - max(p, q)
+    if isinstance(state, PureState):
+        grid = state.grid
 
-    def lowered(s: int, t: int) -> np.ndarray:
-        corner = grid[s : s + rows, t : t + cols]
-        return _lowering_weights(s, rows)[:, None] * corner * _lowering_weights(t, cols)
+        def lowered(s: int, t: int) -> np.ndarray:
+            corner = grid[s : s + rows, t : t + cols]
+            return _lowering_weights(s, rows)[:, None] * corner * _lowering_weights(t, cols)
 
-    return complex(np.vdot(lowered(m, p), lowered(n, q)))
+        return complex(np.vdot(lowered(m, p), lowered(n, q)))
+    blocks = state.entries.reshape(d_a, d_b, d_a, d_b)
+    diagonal = np.einsum("ijij->ij", blocks[n : n + rows, q : q + cols, m : m + rows, p : p + cols])
+    weight_a = _lowering_weights(n, rows) * _lowering_weights(m, rows)
+    weight_b = _lowering_weights(q, cols) * _lowering_weights(p, cols)
+    return complex(weight_a @ diagonal @ weight_b)
 
 
 def moment(rho: State, mono: Monomial) -> complex:
@@ -274,10 +267,9 @@ def moment(rho: State, mono: Monomial) -> complex:
     if isinstance(rho, PureState):
         value = rho._moments.get(mono)
         if value is None:
-            value = rho._moments[mono] = _pure_moment(rho, mono)
+            value = rho._moments[mono] = _shifted_moment(rho, mono)
         return value
-    mat = monomial_matrix(mono, rho.cutoff)
-    return complex(np.einsum("ij,ji->", rho.entries, mat))
+    return _shifted_moment(rho, mono)
 
 
 def expectation_poly(rho: State, poly: OperatorPoly) -> complex:

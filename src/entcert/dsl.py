@@ -21,6 +21,8 @@ scalars and is folded into coefficients.  ``i`` is the imaginary unit and
 same nodes at both levels.
 """
 
+import cmath
+import math
 import re
 from dataclasses import dataclass
 
@@ -197,6 +199,13 @@ class _Parser:
             self._fail(expected)
         return self._advance()
 
+    def _number(self) -> ComplexLiteral:
+        tok = self._advance()
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(f"number {tok.text!r} is too large", tok.pos)
+        return ComplexLiteral(complex(value))
+
     def _chain(self, operand, ops):
         """operand ((op) operand)*, folded left into Add/Sub/Mul/Div nodes."""
         node = operand()
@@ -245,8 +254,7 @@ class _Parser:
             self._expect(")", "')'")
             return Abs2(arg)
         if tok.kind == "number":
-            self._advance()
-            return ComplexLiteral(complex(float(tok.text)))
+            return self._number()
         if tok.kind == "(":
             self._advance()
             inner = self.parse_arith()
@@ -286,8 +294,7 @@ class _Parser:
                 return Symbol("i")
             self._fail("an operator symbol (a, ad, b, bd, xa, pa, xb, pb) or i")
         if tok.kind == "number":
-            self._advance()
-            return ComplexLiteral(complex(float(tok.text)))
+            return self._number()
         if tok.kind == "(":
             self._advance()
             inner = self.parse_expr()
@@ -413,14 +420,18 @@ def evaluate(node, rho: State):
     checking the imaginary parts are negligible, with the witnesses' rule:
     lhs < rhs only when lhs falls below rhs by more than DETECTION_MARGIN,
     so a state that saturates a bound holds it whatever the round-off.
+    A value or a side of a comparison that overflows is a LoweringError.
     """
-    if isinstance(node, Compare):
-        lhs = _to_real(_evaluate_value(node.left, rho), "left side of comparison")
-        rhs = _to_real(_evaluate_value(node.right, rho), "right side of comparison")
-        bound = rhs - DETECTION_MARGIN
-        holds = lhs >= bound if node.relation == ">=" else lhs < bound
-        return CompareResult(lhs=lhs, rhs=rhs, holds=holds, relation=node.relation)
-    return _evaluate_value(node, rho)
+    try:
+        if isinstance(node, Compare):
+            lhs = _to_real(_evaluate_value(node.left, rho), "left side of comparison")
+            rhs = _to_real(_evaluate_value(node.right, rho), "right side of comparison")
+            bound = rhs - DETECTION_MARGIN
+            holds = lhs >= bound if node.relation == ">=" else lhs < bound
+            return CompareResult(lhs=lhs, rhs=rhs, holds=holds, relation=node.relation)
+        return _finite(_evaluate_value(node, rho), "value")
+    except OverflowError as exc:
+        raise LoweringError("query value overflows a float") from exc
 
 
 def _evaluate_value(node, rho: State) -> complex:
@@ -452,7 +463,14 @@ def _evaluate_value(node, rho: State) -> complex:
     raise TypeError(f"not a query node: {node!r}")
 
 
+def _finite(value: complex, label: str) -> complex:
+    if not cmath.isfinite(value):
+        raise LoweringError(f"{label} is not finite: {value!r}")
+    return value
+
+
 def _to_real(value: complex, label: str) -> float:
+    _finite(value, label)
     if abs(value.imag) > _COMPARE_REAL_TOL * max(1.0, abs(value)):
         raise LoweringError(f"{label} is not real: {value!r}")
     return value.real

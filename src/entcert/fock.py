@@ -109,8 +109,8 @@ class DensityOperator:
             raise NormalizationError(f"density matrix trace {tr!r} differs from 1")
 
 
-# What moments and witnesses accept: a PureState is read straight from its
-# amplitude grid, a DensityOperator through dense matrices.
+# What moments and witnesses accept: a PureState is read from its amplitude
+# grid, a DensityOperator from the shifted diagonals of its entries.
 State = PureState | DensityOperator
 
 

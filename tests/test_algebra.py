@@ -18,7 +18,6 @@ from entcert import (
     density_from_pure,
     expectation_poly,
     moment,
-    monomial_matrix,
     partial_transpose_b,
     product_coherent,
     quadrature_poly,
@@ -29,6 +28,17 @@ from entcert.algebra import A, AD, B, BD, IDENTITY_MONO, ONE, QUADRATURES
 from conftest import random_bell_params, random_density, word_matrix
 
 SQRT_HALF = 2.0**-0.5
+
+
+def mono_word(mono) -> list:
+    """The normal-ordered word adag^m a^n bdag^p b^q as symbol names."""
+    m, n, p, q = mono
+    return ["ad"] * m + ["a"] * n + ["bd"] * p + ["b"] * q
+
+
+def dense_poly(poly: OperatorPoly, cutoff: Cutoff) -> np.ndarray:
+    """Truncated matrix of a polynomial, one raw ladder product per monomial."""
+    return sum(coeff * word_matrix(mono_word(m), cutoff) for m, coeff in poly.terms.items())
 
 
 def poly_from_word(word) -> OperatorPoly:
@@ -64,7 +74,7 @@ class TestMultiplication:
         dense_sq = dense @ dense
         poly = (AD * BD + A * B) ** 2
         # compare entrywise on the interior block where truncation cannot bite
-        symbolic = sum(coeff * monomial_matrix(m, c) for m, coeff in poly.terms.items())
+        symbolic = dense_poly(poly, c)
         interior = [c.index(na, nb) for na in range(4) for nb in range(4)]
         block = np.ix_(interior, interior)
         assert np.max(np.abs(dense_sq[block] - symbolic[block])) < 1e-10
@@ -89,13 +99,10 @@ class TestMultiplication:
         interior = [c.index(na, nb) for na in range(4) for nb in range(4)]
         block = np.ix_(interior, interior)
 
-        def dense(poly):
-            return sum(coeff * monomial_matrix(m, c) for m, coeff in poly.terms.items())
-
         for _ in range(15):
             f, g = _random_poly(rng, degree=2), _random_poly(rng, degree=2)
-            product = dense(f * g)
-            reference = dense(f) @ dense(g)
+            product = dense_poly(f * g, c)
+            reference = dense_poly(f, c) @ dense_poly(g, c)
             scale = max(1.0, np.max(np.abs(reference)))
             assert np.max(np.abs(product[block] - reference[block])) < 1e-10 * scale
 
@@ -131,8 +138,8 @@ class TestAdjoint:
     def test_matches_dense_adjoint(self, rng):
         c = Cutoff(7, 7)
         poly = _random_poly(rng, degree=2)
-        dense = sum(coeff * monomial_matrix(m, c) for m, coeff in poly.terms.items())
-        dense_adj = sum(coeff * monomial_matrix(m, c) for m, coeff in poly.adjoint().terms.items())
+        dense = dense_poly(poly, c)
+        dense_adj = dense_poly(poly.adjoint(), c)
         interior = [c.index(na, nb) for na in range(5) for nb in range(5)]
         block = np.ix_(interior, interior)
         assert np.max(np.abs(dense.conj().T[block] - dense_adj[block])) < 1e-12
@@ -200,6 +207,8 @@ class TestMoments:
         alpha, beta = random_bell_params(rng)
         rho = density_from_pure(bell_xp_state(alpha, beta, c))
         assert moment(rho, Monomial(1, 1, 0, 0)) == pytest.approx(abs(alpha) ** 2)
+        real_rho = density_from_pure(bell_xp_state(0.6, 0.8, c))
+        assert moment(real_rho, Monomial(1, 1, 0, 0)) == pytest.approx(0.36)
 
     def test_exchange_moment_magnitude(self, rng):
         c = Cutoff(2, 2)
@@ -210,20 +219,26 @@ class TestMoments:
         # fixed convention: <ad b> = conj(alpha) * beta
         assert value == pytest.approx(alpha.conjugate() * beta)
 
+    @pytest.mark.parametrize("d_a, d_b", [(2, 5), (5, 3), (7, 4), (2, 2), (6, 6)])
+    def test_density_kernel_matches_dense_trace(self, rng, d_a, d_b):
+        # full-rank, full-support states reach the truncation edge of both modes
+        c = Cutoff(d_a, d_b)
+        rho = random_density(rng, c)
+        admitted = [
+            Monomial(m, n, p, q)
+            for m in range(d_a)
+            for n in range(d_a - m)
+            for p in range(d_b)
+            for q in range(d_b - p)
+        ]
+        for mono in admitted:
+            dense = np.einsum("ij,ji->", rho.entries, word_matrix(mono_word(mono), c))
+            assert abs(moment(rho, mono) - dense) <= 1e-12 * abs(dense)
+
     def test_identity_monomial(self, rng):
         c = Cutoff(3, 3)
         rho = random_density(rng, c)
         assert moment(rho, IDENTITY_MONO) == pytest.approx(1.0)
-
-    def test_cached_matrix_is_read_only(self):
-        c = Cutoff(3, 3)
-        rho = density_from_pure(bell_xp_state(0.6, 0.8, c))
-        number_a = Monomial(1, 1, 0, 0)
-        mat = monomial_matrix(number_a, c)
-        with pytest.raises(ValueError):
-            mat[...] = 0.0
-        assert moment(rho, number_a) == pytest.approx(0.36)
-        assert monomial_matrix(number_a, c) is mat
 
     def test_pure_moment_memoized_per_state(self):
         psi = bell_xp_state(0.6, 0.8j, Cutoff(3, 3))

@@ -307,6 +307,22 @@ class TestExpr:
         assert main(["expr", "E[ad^3*a^3]", config]) == 3
         assert capsys.readouterr().err.startswith("numeric:")
 
+    def test_overflowing_literal_exits_5(self, tmp_path, capsys):
+        config = write_config(tmp_path, bell_config())
+        assert main(["expr", "E[1e999*ad*a]", config]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert err_lines[0].startswith("expr: parse error at column 3")
+        assert err_lines[2] == "  ^"
+
+    def test_non_finite_comparison_exits_5(self, tmp_path, capsys):
+        config = write_config(tmp_path, bell_config())
+        assert main(["expr", "E[ad*a]*1e300*1e300 >= 0", config]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("expr: left side of comparison is not finite")
+
     def test_var_of_non_hermitian(self, tmp_path, capsys):
         config = write_config(tmp_path, bell_config())
         assert main(["expr", "Var[a]", config]) == 5
@@ -323,6 +339,23 @@ class TestOverrides:
     def test_bad_cutoff_override(self, tmp_path, capsys):
         config = write_config(tmp_path, bell_config())
         assert main(["evaluate", config, "--cutoff", "1", "5"]) == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_cutoff_beyond_physical_memory_exits_3_unallocated(self, tmp_path, capsys, command):
+        import tracemalloc
+
+        config = write_config(tmp_path, bell_config(sweep={"n_theta": 1, "n_phi": 1}))
+        args = [command, config] + ([str(tmp_path / "scan.csv")] if command == "sweep" else [])
+        tracemalloc.start()
+        try:
+            code = main(args + ["--cutoff", "1000000", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numeric: cutoff 1000000x1000000 needs")
+        assert peak < 2**20
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_tol_override_allows_smaller_basis(self, tmp_path, capsys):
         config = write_config(

@@ -96,6 +96,12 @@ class TestParsing:
         ast = parse("E[ad*a] < 1")
         assert isinstance(ast, Compare) and ast.relation == "<"
 
+    @pytest.mark.parametrize("text, column", [("1e999", 0), ("E[1e999*ad*a]", 2), ("E[a] >= 2e400", 8)])
+    def test_overflowing_number_is_positioned_parse_error(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == column
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse("E[ad*a] 3")
@@ -227,6 +233,20 @@ class TestEvaluation:
         rho = density_from_pure(bell_xp_state(SQRT_HALF, 1j * SQRT_HALF, Cutoff(3, 3)))
         with pytest.raises(LoweringError):
             evaluate_text("E[ad*b-a*bd] >= 0", rho)  # expectation is i
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "E[ad*a]*1e300*1e300 >= 0",
+            "0 < E[ad*a]*1e300*1e300",
+            "E[1e300*1e300*ad*a]",
+            "abs2(E[ad*a]*1e200)",
+            "E[ad*a]*1e300*1e300-E[ad*a]*1e300*1e300",
+        ],
+    )
+    def test_non_finite_value_is_lowering_error(self, bell_half, text):
+        with pytest.raises(LoweringError, match="finite|overflows"):
+            evaluate_text(text, bell_half)
 
     def test_evaluate_matches_hand_composition(self, bell_half):
         from entcert import expectation_poly

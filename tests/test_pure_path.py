@@ -1,10 +1,11 @@
-"""The pure-state path against the dense density-operator path.
+"""The pure-state path against the density-operator path.
 
 Moments, witnesses and DSL queries accept a PureState directly and read it
 from its amplitude grid (PPT from its singular values).  On random states
 and on the four CLI state kinds, every reported quantity must match the
-same report on density_from_pure(psi), which goes through the dense
-monomial matrices and the partial-transpose eigensolve.
+same report on density_from_pure(psi), which reads moments from the
+shifted diagonals of the full d_a d_b x d_a d_b matrix and takes PPT from
+the dense partial-transpose eigensolve.
 """
 
 import numpy as np
