@@ -96,10 +96,11 @@ def _get_complex(obj: dict, key: str, ctx: str) -> complex:
 
 
 # Arrays of d_a x d_b complex amplitudes a run holds at once: the state and
-# its construction buffer, the two weighted shifts of a moment, and the
-# grid copy of the PPT singular-value solve.  Measured with tracemalloc at
-# 600x600, evaluate, sweep and expr peak at 4.0-4.1 grids, not counting the
-# solver's copy, which LAPACK allocates outside it.
+# its construction buffer, a chunk of the moment Gram stack and its
+# conjugate (about one grid each), and the grid copy of the PPT
+# singular-value solve.  Measured with tracemalloc at 600x600, evaluate,
+# sweep and expr peak at 3.04-3.06 grids, not counting the solver's copy,
+# which LAPACK allocates outside it.
 _GRID_ARRAYS_HELD = 5
 
 
@@ -408,15 +409,24 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_tol(value):
+    """--tol, held to the finiteness rule of state.trunc_tol (argparse's float
+    accepts nan and inf, and a NaN tolerance would pass every kept-weight check)."""
+    if value is not None and not math.isfinite(value):
+        raise ConfigError("--tol must be finite")
+    return value
+
+
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     cutoff_override = tuple(args.cutoff) if args.cutoff else None
     try:
+        tol_override = _parse_tol(args.tol)
         if args.command == "evaluate":
-            return cmd_evaluate(args.config, cutoff_override, args.tol)
+            return cmd_evaluate(args.config, cutoff_override, tol_override)
         if args.command == "sweep":
-            return cmd_sweep(args.config, args.output, cutoff_override, args.tol)
-        return cmd_expr(args.expression, args.config, cutoff_override, args.tol)
+            return cmd_sweep(args.config, args.output, cutoff_override, tol_override)
+        return cmd_expr(args.expression, args.config, cutoff_override, tol_override)
     except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ eigenvalues, so any negative eigenvalue certifies entanglement.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,6 +89,15 @@ def mancini_witness(rho: State) -> CriterionReport:
     )
 
 
+@lru_cache(maxsize=64)
+def _duan_pair(m: float) -> tuple[OperatorPoly, OperatorPoly]:
+    """u = |m| xa + xb/m and v = |m| pa - pb/m; bounded, as callers may scan gains."""
+    return (
+        quadrature_poly({"xa": abs(m), "xb": 1.0 / m}),
+        quadrature_poly({"pa": abs(m), "pb": -1.0 / m}),
+    )
+
+
 def duan_witness(rho: State, m: float = 1.0) -> CriterionReport:
     """Variance-sum witness at gain m: separable states keep M >= m^2 + 1/m^2.
 
@@ -96,8 +106,7 @@ def duan_witness(rho: State, m: float = 1.0) -> CriterionReport:
     """
     if m == 0:
         raise ValueError("gain m must be nonzero")
-    u = quadrature_poly({"xa": abs(m), "xb": 1.0 / m})
-    v = quadrature_poly({"pa": abs(m), "pb": -1.0 / m})
+    u, v = _duan_pair(m)
     total = variance(rho, u) + variance(rho, v)
     bound = m * m + 1.0 / (m * m)
     detected = total < bound - DETECTION_MARGIN
@@ -170,8 +179,8 @@ def _pt_uncertainty_report(rho: State, triple, name: str, conventions: str) -> C
     pairs, z = triple
     brackets = []
     for (mean_poly, square_poly), which in zip(pairs, ("first", "second")):
-        mean = expectation_poly(rho, mean_poly)
         second = expectation_poly(rho, square_poly)
+        mean = expectation_poly(rho, mean_poly)
         brackets.append(_real(second - mean * mean, f"{which} uncertainty bracket"))
     bracket1, bracket2 = brackets
     lhs = bracket1 * bracket2

@@ -30,7 +30,7 @@ from . import algebra
 from .algebra import OperatorPoly, expectation_poly, variance
 from .criteria import DETECTION_MARGIN
 from .errors import EntcertError, LexError, ParseError
-from .fock import State
+from .fock import Cutoff, State
 
 OPERATOR_SYMBOLS = ("a", "ad", "b", "bd", "xa", "pa", "xb", "pb")
 
@@ -371,31 +371,72 @@ _SYMBOL_POLYS = {
 
 def lower(node) -> OperatorPoly:
     """Translate an operator-expression AST to its canonical polynomial."""
+    return _lower(node, None)
+
+
+def _lower(node, cutoff: Cutoff | None) -> OperatorPoly:
+    """lower(node); given a cutoff, a power whose top degree reaches it raises
+    PowerGuardError before it is expanded (see _check_power)."""
     if isinstance(node, ComplexLiteral):
         return OperatorPoly.scalar(node.value)
     if isinstance(node, Symbol):
         return _SYMBOL_POLYS[node.name]
     if isinstance(node, Neg):
-        return -lower(node.operand)
+        return -_lower(node.operand, cutoff)
     if isinstance(node, Add):
-        return lower(node.left) + lower(node.right)
+        return _lower(node.left, cutoff) + _lower(node.right, cutoff)
     if isinstance(node, Sub):
-        return lower(node.left) - lower(node.right)
+        return _lower(node.left, cutoff) - _lower(node.right, cutoff)
     if isinstance(node, Mul):
-        return lower(node.left) * lower(node.right)
+        return _lower(node.left, cutoff) * _lower(node.right, cutoff)
     if isinstance(node, Div):
-        divisor = lower(node.right)
+        divisor = _lower(node.right, cutoff)
         scalar = _as_scalar(divisor)
         if scalar is None:
             raise LoweringError(f"division is only defined by complex scalars, got {divisor!r}")
         if scalar == 0:
             raise LoweringError("division by zero")
-        return lower(node.left) * (1.0 / scalar)
+        return _lower(node.left, cutoff) * (1.0 / scalar)
     if isinstance(node, Pow):
-        return lower(node.base) ** node.exponent
+        base = _lower(node.base, cutoff)
+        scalar = _as_scalar(base)
+        if scalar is not None:
+            return OperatorPoly.scalar(_scalar_power(scalar, node.exponent))
+        if cutoff is not None:
+            _check_power(base, node.exponent, cutoff)
+        return base**node.exponent
     if isinstance(node, Paren):
-        return lower(node.inner)
+        return _lower(node.inner, cutoff)
     raise TypeError(f"not an operator-expression node: {node!r}")
+
+
+def _check_power(base: OperatorPoly, exponent: int, cutoff: Cutoff) -> None:
+    """The moment power guard, applied to base^exponent before it is expanded.
+
+    Normal ordering only removes ladder pairs, and the commuted top-degree
+    parts of the factors multiply without cancelling, so base^exponent has
+    per-mode power exactly exponent times base's.  Its expectation would
+    reach the guard anyway, after an expansion that takes as long as the
+    exponent is large.  Only an expression that cancels the power again,
+    such as a^3 - a^3 or 0*a^3, is refused here rather than evaluated to 0,
+    and the guard comes before Var's Hermiticity check.  A scalar base never
+    gets here: _lower takes its power directly.
+    """
+    for m, n, p, q in base.terms:
+        algebra._check_power_guard(exponent * (m + n), exponent * (p + q), cutoff)
+
+
+def _scalar_power(value: complex, exponent: int) -> complex:
+    """value ** exponent by repeated squaring, in about log2(exponent)
+    products; powers of 1, -1 and i stay exact, and an overflow gives a
+    non-finite value that evaluate rejects."""
+    out = 1 + 0j
+    while exponent:
+        if exponent & 1:
+            out *= value
+        value *= value
+        exponent >>= 1
+    return out
 
 
 def _as_scalar(poly: OperatorPoly):
@@ -440,9 +481,9 @@ def _evaluate_value(node, rho: State) -> complex:
     if isinstance(node, Paren):
         return _evaluate_value(node.inner, rho)
     if isinstance(node, EQuery):
-        return expectation_poly(rho, lower(node.expr))
+        return expectation_poly(rho, _lower(node.expr, rho.cutoff))
     if isinstance(node, VarQuery):
-        poly = lower(node.expr)
+        poly = _lower(node.expr, rho.cutoff)
         if not poly.is_hermitian():
             raise LoweringError(f"Var requires a Hermitian operator, got {poly!r}")
         return complex(variance(rho, poly))

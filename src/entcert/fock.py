@@ -54,8 +54,9 @@ class PureState:
     """Normalized amplitude vector over the joint truncated basis.
 
     The amplitudes are a read-only copy of the constructor's input, which
-    is what makes the per-state moment memo (filled by algebra.moment)
-    sound.
+    is what makes the per-state moment memo sound.  algebra fills
+    ``_moments`` (monomial -> moment) from Gram products of weighted shifts
+    of the grid.
     """
 
     amplitudes: np.ndarray

@@ -84,29 +84,30 @@ def photon_subtracted_tmsv(
     amplitudes and renormalizes; since a (x) b |n,n> = n |n-1,n-1>, the
     result is n sech(r) (e^{i phi} tanh r)^n on |n-1,n-1>.  kept_weight is
     quoted against the exact infinite-cutoff subtracted state, whose squared
-    norm is t^2 (1 + t^2) / (1 - t^2)^2 with t = tanh r.
+    norm is t^2 (1 + t^2) / (1 - t^2)^2 with t = tanh r.  The common factor
+    sech(r) t is divided out of both, so neither underflows as r -> 0, where
+    the state tends to |0,0>; the phase e^{i phi} stays, so the state is the
+    same vector as before the division.
     """
     if r < 0:
         raise ValueError(f"squeezing magnitude must be nonnegative, got r={r}")
     if r == 0:
         raise DegenerateStateError("photon subtraction from vacuum (r=0) gives the zero vector")
     levels = min(cutoff.d_a, cutoff.d_b)
-    diag = _tmsv_amplitudes(r, phi, levels)
+    phase = np.exp(1j * phi)
+    lam = phase * np.tanh(r)
     sub = np.zeros(cutoff.dim, dtype=complex)
     for n in range(1, levels):
-        sub[cutoff.index(n - 1, n - 1)] = n * diag[n]
+        sub[cutoff.index(n - 1, n - 1)] = n * phase * lam ** (n - 1)
+    # Exact squared norm over (sech(r) t)^2: sum_n n^2 t^(2n-2) = (1 + t^2) / (1 - t^2)^3.
     t2 = math.tanh(r) ** 2
-    exact_norm_sq = t2 * (1.0 + t2) / (1.0 - t2) ** 2
-    kept = float(np.vdot(sub, sub).real / exact_norm_sq)
-    if kept < 1.0 - trunc_tol:
+    kept = float(np.vdot(sub, sub).real * (1.0 - t2) ** 3 / (1.0 + t2))
+    if not kept >= 1.0 - trunc_tol:  # a NaN weight fails too
         raise TruncationError(
             f"photon-subtracted TMSV r={r} keeps only {kept:.12f} of its weight at "
             f"cutoff {cutoff.d_a}x{cutoff.d_b} (tolerance {trunc_tol:g})"
         )
-    norm = np.linalg.norm(sub)
-    if norm == 0.0:
-        raise DegenerateStateError("photon subtraction produced the zero vector")
-    return PureState(sub / norm, cutoff), TruncationReport(kept, renormalized=True)
+    return PureState(sub / np.linalg.norm(sub), cutoff), TruncationReport(kept, renormalized=True)
 
 
 def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:

@@ -12,6 +12,19 @@ from entcert import Cutoff, DensityOperator, embed, lowering_matrix
 
 SQRT_HALF = 2.0**-0.5
 
+# numpy moved ComplexWarning to numpy.exceptions in 1.25 and dropped the
+# top-level name in 2.0, so no one "error::..." string in pyproject serves
+# every numpy it allows; the filter is built from the class instead.
+_COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
+
+
+def pytest_configure(config):
+    """Fail on any discarded imaginary part, as on any RuntimeWarning."""
+    config.addinivalue_line(
+        "filterwarnings",
+        f"error::{_COMPLEX_WARNING.__module__}.{_COMPLEX_WARNING.__qualname__}",
+    )
+
 
 @pytest.fixture
 def rng():

@@ -14,13 +14,18 @@ from entcert import (
     Monomial,
     OperatorPoly,
     PowerGuardError,
+    PureState,
     bell_xp_state,
     density_from_pure,
+    duan_witness,
     expectation_poly,
+    mancini_witness,
     moment,
     partial_transpose_b,
     product_coherent,
     quadrature_poly,
+    su2_pt_witness,
+    su11_pt_witness,
     variance,
 )
 from entcert.algebra import A, AD, B, BD, IDENTITY_MONO, ONE, QUADRATURES
@@ -240,13 +245,45 @@ class TestMoments:
         rho = random_density(rng, c)
         assert moment(rho, IDENTITY_MONO) == pytest.approx(1.0)
 
-    def test_pure_moment_memoized_per_state(self):
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        """The shift lists of every Gram product a test makes."""
+        from entcert import algebra
+
+        calls = []
+        gram = algebra._gram
+
+        def counted(psi, shifts):
+            calls.append(shifts)
+            return gram(psi, shifts)
+
+        monkeypatch.setattr(algebra, "_gram", counted)
+        return calls
+
+    def test_pure_moment_second_request_recomputes_nothing(self, gram_calls):
         psi = bell_xp_state(0.6, 0.8j, Cutoff(3, 3))
         first = moment(psi, Monomial(1, 0, 0, 1))
         assert first == pytest.approx(0.6 * 0.8j)
-        assert psi._moments == {Monomial(1, 0, 0, 1): first}
+        filled = dict(psi._moments)
+        assert filled[Monomial(1, 0, 0, 1)] == first
         assert moment(psi, (1, 0, 0, 1)) == first
-        assert len(psi._moments) == 1
+        assert expectation_poly(psi, AD * B) == first
+        assert len(gram_calls) == 1
+        assert psi._moments == filled
+
+    def test_witness_set_fills_pure_memo_once(self, gram_calls, rng):
+        c = Cutoff(6, 5)
+        grid = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        psi = PureState(grid.reshape(-1) / np.linalg.norm(grid), c)
+        mancini_witness(psi)
+        for gain in (0.5, 1.0, 2.0):
+            duan_witness(psi, gain)
+        su2_pt_witness(psi)
+        su11_pt_witness(psi, "ladder")
+        su11_pt_witness(psi, "quadrature")
+        assert len(gram_calls) == 1
+        # No memo entry is stored for a monomial the power guard rejects.
+        assert all(m + n < c.d_a and p + q < c.d_b for m, n, p, q in psi._moments)
 
     def test_power_guard(self, rng):
         c = Cutoff(3, 3)

@@ -10,6 +10,7 @@ from entcert.cli import main
 
 SQRT_HALF = 2.0**-0.5
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_golden.csv"
+GOLDEN_SWEEP_5X4 = Path(__file__).parent / "data" / "sweep_golden_5x4.csv"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -194,6 +195,17 @@ class TestSweep:
         assert main(["sweep", config, str(out)]) == 0
         assert out.read_bytes() == GOLDEN_SWEEP.read_bytes()
 
+    def test_matches_golden_csv_5x4(self, tmp_path):
+        # Reference output recorded before pure-state moments were read from
+        # one Gram product per state, at an asymmetric cutoff.
+        config = write_config(
+            tmp_path,
+            {"sweep": {"n_theta": 9, "n_phi": 8, "m_values": [0.5, 1, 2]}},
+        )
+        out = tmp_path / "scan.csv"
+        assert main(["sweep", config, str(out), "--cutoff", "5", "4"]) == 0
+        assert out.read_bytes() == GOLDEN_SWEEP_5X4.read_bytes()
+
     def test_row_order_theta_outer(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -323,6 +335,34 @@ class TestExpr:
         assert captured.out == ""
         assert captured.err.startswith("expr: left side of comparison is not finite")
 
+    def test_huge_exponent_hits_power_guard_before_expanding(self, tmp_path, capsys):
+        import time
+
+        config = write_config(tmp_path, bell_config())
+        start = time.perf_counter()
+        assert main(["expr", "E[a^100000000]", config]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith(
+            "numeric: ladder powers (a:100000000, b:0) too high for cutoff 3x3"
+        )
+
+    @pytest.mark.parametrize(
+        "query, code, out",
+        [("E[(a-a)^100000000]", 0, 0.0), ("E[1^100000000]", 0, 1.0), ("E[2^100000000]", 5, None)],
+    )
+    def test_huge_exponent_of_scalar_base_is_fast(self, tmp_path, capsys, query, code, out):
+        import time
+
+        config = write_config(tmp_path, bell_config())
+        start = time.perf_counter()
+        assert main(["expr", query, config]) == code
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        if out is None:
+            assert captured.err.startswith("expr: value is not finite")
+        else:
+            assert json.loads(captured.out) == {"re": pytest.approx(out), "im": 0.0}
+
     def test_var_of_non_hermitian(self, tmp_path, capsys):
         config = write_config(tmp_path, bell_config())
         assert main(["expr", "Var[a]", config]) == 5
@@ -355,6 +395,29 @@ class TestOverrides:
         assert code == 3
         assert capsys.readouterr().err.startswith("numeric: cutoff 1000000x1000000 needs")
         assert peak < 2**20
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "expr"])
+    def test_non_finite_tol_is_config_error(self, tmp_path, capsys, command, tol):
+        # This state keeps 55% of its weight at 4x4; a NaN tolerance passed
+        # every kept-weight check and printed a full report.
+        config = write_config(
+            tmp_path,
+            {
+                "state": {"kind": "tmsv", "r": 1.5, "phi": 0, "cutoff": {"d_a": 4, "d_b": 4}},
+                "sweep": {"n_theta": 1, "n_phi": 1},
+            },
+        )
+        args = {
+            "evaluate": ["evaluate", config],
+            "sweep": ["sweep", config, str(tmp_path / "scan.csv")],
+            "expr": ["expr", "E[ad*a]", config],
+        }[command]
+        assert main(args + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config: --tol must be finite\n"
         assert not (tmp_path / "scan.csv").exists()
 
     def test_tol_override_allows_smaller_basis(self, tmp_path, capsys):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from entcert import Cutoff, LexError, Monomial, OperatorPoly, ParseError, bell_xp_state
+from entcert import Cutoff, LexError, Monomial, OperatorPoly, ParseError, PowerGuardError
+from entcert import bell_xp_state
 from entcert import density_from_pure, product_coherent
 from entcert.algebra import A, AD, B, BD, IDENTITY_MONO
 from entcert.criteria import BUILTIN_OPERATORS, BUILTIN_QUERIES
@@ -185,6 +186,35 @@ class TestLowering:
         assert lower(parse_operator("(xa+xb)^2")) == (
             lower(parse_operator("xa+xb")) * lower(parse_operator("xa+xb"))
         )
+
+    def test_power_past_any_cutoff_lowers_without_a_state(self):
+        assert lower(parse_operator("a^40")) == OperatorPoly({Monomial(0, 40, 0, 0): 1.0})
+
+
+class TestPowerGuard:
+    def test_exponent_past_cutoff_raises_before_expanding(self, bell_half):
+        with pytest.raises(PowerGuardError, match=r"\(a:3, b:0\)"):
+            evaluate_text("E[a^3]", bell_half)
+        with pytest.raises(PowerGuardError, match=r"\(a:3, b:3\)"):
+            evaluate_text("Var[(a*b)^3]", bell_half)
+
+    @pytest.mark.parametrize("text", ["E[0*a^3]", "E[a^3-a^3]", "Var[a^3]"])
+    def test_guard_comes_before_cancellation_and_hermiticity(self, bell_half, text):
+        with pytest.raises(PowerGuardError, match=r"\(a:3, b:0\)"):
+            evaluate_text(text, bell_half)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("(a-a)^5", 0), ("(-1)^100000001", -1), ("i^7", -1j), ("(1+i)^4", -4), ("2^10", 1024)],
+    )
+    def test_scalar_base_power(self, bell_half, text, value):
+        # Exact powers: the only rounding left is the state's trace.
+        trace = evaluate_text("E[1]", bell_half)
+        assert evaluate_text(f"E[{text}]", bell_half) == value * trace
+
+    def test_power_within_cutoff_unchanged(self, bell_half):
+        product = evaluate_text("E[(xa+xb)*(xa+xb)]", bell_half)
+        assert evaluate_text("E[(xa+xb)^2]", bell_half) == product
 
 
 class TestEvaluation:

@@ -8,6 +8,8 @@ shifted diagonals of the full d_a d_b x d_a d_b matrix and takes PPT from
 the dense partial-transpose eigensolve.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,14 @@ from hypothesis import strategies as st
 
 from entcert import (
     Cutoff,
+    Monomial,
+    OperatorPoly,
     PowerGuardError,
     PureState,
     bell_xp_state,
     density_from_pure,
     duan_witness,
+    expectation_poly,
     mancini_witness,
     moment,
     partial_transpose_b,
@@ -32,6 +37,8 @@ from entcert import (
 )
 from entcert.criteria import BUILTIN_QUERIES, DETECTION_MARGIN
 from entcert.dsl import evaluate_text
+
+from conftest import word_matrix
 
 TOL = 1e-10
 # A verdict is only compared where its decision value is clear of the
@@ -152,6 +159,28 @@ def test_moments_match_dense(psi, seed):
 
 
 @PROPERTY
+@given(random_pure(), st.data())
+def test_memo_growth_matches_word_matrix(psi, data):
+    """A small fill first, then E[a^3 b^3] and edge-of-guard monomials, each
+    filling the rectangle of shifts of its own monomial or, past its size
+    cap, reading the two shifts of that monomial."""
+    d_a, d_b = psi.cutoff.d_a, psi.cutoff.d_b
+    m = data.draw(st.integers(0, d_a - 1))
+    p = data.draw(st.integers(0, d_b - 1))
+    edges = [(m, d_a - 1 - m, p, d_b - 1 - p), (d_a - 1, 0, 0, d_b - 1), (m, d_a - m, 0, 0)]
+    for mono in [(1, 1, 0, 0), (0, 3, 0, 3), *edges]:
+        poly = OperatorPoly({Monomial(*mono): 1.0})
+        if mono[0] + mono[1] >= d_a or mono[2] + mono[3] >= d_b:
+            with pytest.raises(PowerGuardError):
+                expectation_poly(psi, poly)
+            assert mono not in psi._moments
+            continue
+        word = ["ad"] * mono[0] + ["a"] * mono[1] + ["bd"] * mono[2] + ["b"] * mono[3]
+        dense = np.vdot(psi.amplitudes, word_matrix(word, psi.cutoff) @ psi.amplitudes)
+        assert abs(expectation_poly(psi, poly) - dense) <= 1e-12 * max(1.0, abs(dense)), mono
+
+
+@PROPERTY
 @given(random_pure(max_levels=2))
 def test_power_guard_fires_on_pure_state(psi):
     # Every fourth-order and variance witness needs three levels per mode.
@@ -172,3 +201,23 @@ def test_builtin_queries_match_dense(psi):
         assert pure.rhs == pytest.approx(dense.rhs, rel=TOL, abs=TOL), name
         if abs(dense.lhs - dense.rhs) > CLEAR:
             assert pure.holds == dense.holds, name
+
+
+@pytest.mark.parametrize("d_a, d_b", [(256, 256), (3, 40000)])
+def test_witness_set_memory_past_chunk_floor(d_a, d_b):
+    from entcert import algebra
+    from entcert.cli import _GRID_ARRAYS_HELD
+
+    # The witnesses fill one 3x3 rectangle of shifts; its stack of nine grids
+    # is past the chunk floor, so it is built a chunk of about one grid at a
+    # time (at 3 x 40000, one mode-a row of the stack is three grids).
+    assert 9 * d_a * d_b > algebra._CHUNK_FLOOR
+    grid_bytes = np.dtype(complex).itemsize * d_a * d_b
+    tracemalloc.start()
+    try:
+        psi = product_coherent(0.5, 0.5j, Cutoff(d_a, d_b), trunc_tol=0.1)[0]
+        _reports(psi, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _GRID_ARRAYS_HELD * grid_bytes, peak / grid_bytes

@@ -142,6 +142,22 @@ class TestPhotonSubtractedTmsv:
         assert np.max(np.abs(psi.amplitudes - sub / np.linalg.norm(sub))) < 1e-14
         assert abs(report.kept_weight - kept) < 1e-14
 
+    def test_tiny_squeezing_tends_to_vacuum(self):
+        # tanh(r)^2 underflows here; the kept weight was 0/0 and the state zero.
+        psi, report = photon_subtracted_tmsv(1e-170, 0.0, Cutoff(12, 12))
+        assert report.kept_weight == 1.0
+        assert psi.amplitude(0, 0) == 1.0
+        assert np.linalg.norm(psi.amplitudes[1:]) < 1e-150
+
+    def test_saturated_squeezing_fails_tolerance(self):
+        # tanh(30) rounds to 1, so the exact norm's 1 - tanh^2 is zero.
+        with pytest.raises(TruncationError, match="keeps only 0.000000000000"):
+            photon_subtracted_tmsv(30.0, 0.0, Cutoff(12, 12))
+
+    def test_nan_kept_weight_fails_tolerance(self):
+        with pytest.raises(TruncationError, match="keeps only nan"):
+            photon_subtracted_tmsv(float("nan"), 0.0, Cutoff(12, 12))
+
     def test_output_normalized(self):
         psi, _ = photon_subtracted_tmsv(0.3, np.pi, Cutoff(16, 16))
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
