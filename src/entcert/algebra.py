@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import HermiticityError, PowerGuardError
-from .fock import Cutoff, DensityOperator, PureState, State
+from .fock import Cutoff, DensityOperator, State
 
 SQRT2 = math.sqrt(2.0)
 
@@ -214,42 +214,15 @@ def _check_power_guard(powers_a: int, powers_b: int, cutoff: Cutoff) -> None:
 
 
 @lru_cache(maxsize=256)
-def _lowering_weights(n: int, size: int) -> np.ndarray:
-    """sqrt((k+n)!/k!) for k < size: the factor a^n puts on |k+n> -> |k> (read-only)."""
-    k = np.arange(size, dtype=float)
-    weight = np.ones(size)
-    for j in range(1, n + 1):
-        weight *= k + j
-    weight = np.sqrt(weight)
-    weight.setflags(write=False)
-    return weight
-
-
-def _shifted_moment(rho: DensityOperator, mono: Monomial) -> complex:
-    """<adag^m a^n bdag^p b^q> on a density operator, from one shifted diagonal.
-
-    adag^m a^n takes |t+n> to |t+m> with weight w_n(t) w_m(t), where
-    w_n = _lowering_weights(n, .), and gives zero for t >= d - max(m, n),
-    where the truncated raising runs off the top level.  So only a
-    rows x cols corner of (t_a, t_b) contributes: the weighted sum of
-    rho[(t_a+n, t_b+q), (t_a+m, t_b+p)], one strided diagonal of its entries.
-    """
-    m, n, p, q = mono
-    d_a, d_b = rho.cutoff.d_a, rho.cutoff.d_b
-    rows = d_a - max(m, n)
-    cols = d_b - max(p, q)
-    blocks = rho.entries.reshape(d_a, d_b, d_a, d_b)
-    diagonal = np.einsum("ijij->ij", blocks[n : n + rows, q : q + cols, m : m + rows, p : p + cols])
-    weight_a = _lowering_weights(n, rows) * _lowering_weights(m, rows)
-    weight_b = _lowering_weights(q, cols) * _lowering_weights(p, cols)
-    return complex(weight_a @ diagonal @ weight_b)
-
-
-@lru_cache(maxsize=256)
 def _truncated_weights(n: int, size: int) -> np.ndarray:
-    """w_n(k) for k < size, zero where k + n runs off the top level (read-only)."""
+    """w_n(k) = sqrt((k+n)!/k!), the factor a^n puts on |k+n> -> |k>, for
+    k < size; zero where k + n runs off the top level (read-only)."""
+    k = np.arange(size - n, dtype=float)
+    product = np.ones(size - n)
+    for j in range(1, n + 1):
+        product *= k + j
     weight = np.zeros(size)
-    weight[: size - n] = _lowering_weights(n, size - n)
+    weight[: size - n] = np.sqrt(product)
     weight.setflags(write=False)
     return weight
 
@@ -261,7 +234,11 @@ def _truncated_weights(n: int, size: int) -> np.ndarray:
 # below the stack cuts small grids into many chunks (12x12: 0.31 ms at
 # 2^8, 0.044 ms from 2^12 up), and a floor past 2^14 lets the stack outgrow
 # the cache (60x60: 0.46 ms at 2^14, 0.88 ms at 2^16; 80x80: 0.89 and
-# 1.59 ms; 160x160: 1.9 ms at 2^14, 6.1 ms at 2^18).
+# 1.59 ms; 160x160: 1.9 ms at 2^14, 6.1 ms at 2^18).  A density operator's
+# gather, shifts^2 entries per flat index, is chunked by the same floor,
+# measured the same way from 2^10 to 2^18: 2^10 is 2-4x slower, and 2^14
+# is within 15% of the best (20x20: 0.25 ms, 0.23 ms at 2^16; 60x60:
+# 3.5 ms, 3.1 ms at 2^16).
 _CHUNK_FLOOR = 1 << 14
 # A fill covers the whole rectangle of shifts only up to this many shifts
 # (5x5 holds the square of any degree-two polynomial): the product costs
@@ -270,7 +247,7 @@ _CHUNK_FLOOR = 1 << 14
 _RECTANGLE_MAX_SHIFTS = 25
 
 
-def _gram(psi: PureState, shifts: tuple) -> np.ndarray:
+def _gram(state: State, shifts: tuple) -> np.ndarray:
     """G[i, j] = <a^s_i b^t_i psi, a^s_j b^t_j psi> over the shifts (s, t).
 
     a^s b^t psi is the grid shifted by (s, t) and weighted by
@@ -280,25 +257,38 @@ def _gram(psi: PureState, shifts: tuple) -> np.ndarray:
     is the offset s d_b + t; the entries that wrap into the next mode-a row
     get mode-b weight zero.  The vectors are stacked and multiplied in
     chunks of the flat index (see _CHUNK_FLOOR).
+
+    A DensityOperator has the same table with the same weights W_i and
+    offsets off_i, G[i, j] = sum_k W_i(k) W_j(k) rho[k + off_j, k + off_i]
+    (for rho = |psi><psi| the entries above): one gather of rho and one
+    einsum per chunk.  W_i is zero wherever k + off_i runs off the grid, so
+    those indices are clipped to the last one.
     """
-    d_a, d_b = psi.cutoff.d_a, psi.cutoff.d_b
+    d_a, d_b = state.cutoff.d_a, state.cutoff.d_b
     size = d_a * d_b
-    amps = psi.amplitudes
     count = len(shifts)
-    chunk = max(size, _CHUNK_FLOOR) // count
+    mixed = isinstance(state, DensityOperator)
+    # A chunk of the density gather holds shifts^2 entries per flat index.
+    chunk = max(size, _CHUNK_FLOOR) // (count * count if mixed else count)
     gram = np.zeros((count, count), dtype=complex)
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
-        row, col = np.divmod(np.arange(start, stop), d_b)
+        flat = np.arange(start, stop)
+        row, col = np.divmod(flat, d_b)
         weight_a = {s: _truncated_weights(s, d_a)[row] for s in {s for s, _ in shifts}}
         weight_b = {t: _truncated_weights(t, d_b)[col] for t in {t for _, t in shifts}}
-        del row, col
+        if mixed:
+            weight = np.array([weight_a[s] * weight_b[t] for s, t in shifts])
+            index = np.minimum(flat + [[s * d_b + t] for s, t in shifts], size - 1)
+            gram += np.einsum("ik,jk,ijk->ij", weight, weight, state.entries[index, index[:, None]])
+            continue
+        del flat, row, col
         stack = np.zeros((count, stop - start), dtype=complex)
         for k, (s, t) in enumerate(shifts):
             offset = s * d_b + t
             length = min(stop, size - offset) - start
             if length > 0:
-                shifted = amps[start + offset : start + offset + length]
+                shifted = state.amplitudes[start + offset : start + offset + length]
                 np.multiply(weight_a[s][:length], shifted, out=stack[k, :length])
                 stack[k, :length] *= weight_b[t][:length]
         # The product holds the stack twice, so the weights go before it and
@@ -321,14 +311,14 @@ def _gram_layout(shifts: tuple, d_a: int, d_b: int) -> tuple:
     return tuple(keys), np.array(index, dtype=np.intp)
 
 
-def _fill_moments(psi: PureState, mono: Monomial, monos: Iterable[Monomial]) -> None:
-    """Put mono's moment, and every other one a Gram product yields, in psi's memo.
+def _fill_moments(state: State, mono: Monomial, monos: Iterable[Monomial]) -> None:
+    """Put mono's moment, and every other one a Gram product yields, in the state's memo.
 
     The product covers the rectangle of shifts that holds every monomial of
     monos, clipped to the grid.  Entries already in the memo keep their
     values.
     """
-    d_a, d_b = psi.cutoff.d_a, psi.cutoff.d_b
+    d_a, d_b = state.cutoff.d_a, state.cutoff.d_b
     span_a = [k for m, n, _, _ in monos for k in (m, n)]
     span_b = [k for _, _, p, q in monos for k in (p, q)]
     low_a, high_a = min(span_a), min(max(span_a), d_a - 1)
@@ -341,19 +331,19 @@ def _fill_moments(psi: PureState, mono: Monomial, monos: Iterable[Monomial]) -> 
         m, n, p, q = mono
         shifts = tuple(sorted({(m, p), (n, q)}))
     keys, index = _gram_layout(shifts, d_a, d_b)
-    values = _gram(psi, shifts).ravel()[index].tolist()
-    memo = psi._moments
+    values = _gram(state, shifts).ravel()[index].tolist()
+    memo = state._moments
     memo.update({key: value for key, value in zip(keys, values) if key not in memo})
 
 
-def _pure_moment(psi: PureState, mono, monos: Iterable[Monomial]) -> complex:
-    """mono's moment from psi's memo; a miss fills the memo for all of monos."""
+def _memo_moment(state: State, mono, monos: Iterable[Monomial]) -> complex:
+    """mono's moment from the state's memo; a miss fills the memo for all of monos."""
     mono = Monomial(*mono)
-    _check_power_guard(mono.adag + mono.a, mono.bdag + mono.b, psi.cutoff)
-    value = psi._moments.get(mono)
+    _check_power_guard(mono.adag + mono.a, mono.bdag + mono.b, state.cutoff)
+    value = state._moments.get(mono)
     if value is None:
-        _fill_moments(psi, mono, monos)
-        value = psi._moments[mono]
+        _fill_moments(state, mono, monos)
+        value = state._moments[mono]
     return value
 
 
@@ -361,33 +351,25 @@ def moment(rho: State, mono: Monomial) -> complex:
     """<adag^m a^n bdag^p b^q> on a pure state or a density operator.
 
     Rejects monomials whose total per-mode power reaches the cutoff, where
-    truncated states make high moments unreliable.  A PureState keeps every
-    moment a Gram product of its weighted shifts yields (see _gram) with the
-    (immutable) state; a DensityOperator reads one shifted diagonal per call.
+    truncated states make high moments unreliable.  Either state type keeps
+    every moment a Gram product of its weighted shifts yields (see _gram)
+    with the (immutable) state, so a later call is a dictionary read.
     """
-    if isinstance(rho, PureState):
-        return _pure_moment(rho, mono, (mono,))
-    mono = Monomial(*mono)
-    _check_power_guard(mono.adag + mono.a, mono.bdag + mono.b, rho.cutoff)
-    return _shifted_moment(rho, mono)
+    return _memo_moment(rho, mono, (mono,))
 
 
 def expectation_poly(rho: State, poly: OperatorPoly) -> complex:
     """<poly> on rho, as the coefficient-weighted sum of monomial moments.
 
-    On a PureState the memo is read first; the first monomial it lacks
-    fills it, in one Gram product, for every monomial of poly.
+    The state's memo is read first; the first monomial it lacks fills it,
+    in one Gram product, for every monomial of poly.
     """
     total = 0.0 + 0.0j
-    if not isinstance(rho, PureState):
-        for mono, coeff in poly.terms.items():
-            total += coeff * moment(rho, mono)
-        return total
     memo = rho._moments
     for mono, coeff in poly.terms.items():
         value = memo.get(mono)
         if value is None:
-            value = _pure_moment(rho, mono, poly.terms)
+            value = _memo_moment(rho, mono, poly.terms)
         total += coeff * value
     return total
 
@@ -406,7 +388,7 @@ def variance(rho: State, poly: OperatorPoly, herm_tol: float = 1e-12) -> float:
 
     On a physical state the result is nonnegative; values below -1e-10
     indicate a non-positive input matrix and raise.  The square is
-    evaluated first, so on a PureState one memo fill serves both.
+    evaluated first, so one memo fill serves both.
     """
     second = expectation_poly(rho, _square(poly, herm_tol))
     mean = expectation_poly(rho, poly)

@@ -310,7 +310,7 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
             )
 
 
-def cmd_sweep(config_path: str, output_path: str, cutoff_override=None, tol_override=None) -> int:
+def cmd_sweep(config_path: str, output_path: str, cutoff_override=None) -> int:
     config = _load_config(config_path)
     sweep_cfg = config.get("sweep")
     if not isinstance(sweep_cfg, dict):
@@ -410,10 +410,13 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _parse_tol(value):
-    """--tol, held to the finiteness rule of state.trunc_tol (argparse's float
-    accepts nan and inf, and a NaN tolerance would pass every kept-weight check)."""
+    """--tol, held to the rules of state.trunc_tol for every subcommand:
+    finite (argparse's float accepts nan and inf, and a NaN tolerance would
+    pass every kept-weight check) and positive."""
     if value is not None and not math.isfinite(value):
         raise ConfigError("--tol must be finite")
+    if value is not None and value <= 0:
+        raise ConfigError("--tol must be positive")
     return value
 
 
@@ -425,7 +428,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(args.config, cutoff_override, tol_override)
         if args.command == "sweep":
-            return cmd_sweep(args.config, args.output, cutoff_override, tol_override)
+            return cmd_sweep(args.config, args.output, cutoff_override)
         return cmd_expr(args.expression, args.config, cutoff_override, tol_override)
     except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)

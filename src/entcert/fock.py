@@ -90,11 +90,13 @@ class DensityOperator:
     Hermiticity and trace are checked at construction; ``entries`` is a
     read-only copy of the input.  Positivity is not:
     the partial transpose of a state is carried by the same type and may
-    have negative eigenvalues (that is what the PPT test looks for).
+    have negative eigenvalues (that is what the PPT test looks for).  As for
+    PureState, the read-only copy makes the ``_moments`` memo sound.
     """
 
     entries: np.ndarray
     cutoff: Cutoff
+    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _frozen_copy(self.entries)
@@ -110,8 +112,9 @@ class DensityOperator:
             raise NormalizationError(f"density matrix trace {tr!r} differs from 1")
 
 
-# What moments and witnesses accept: a PureState is read from its amplitude
-# grid, a DensityOperator from the shifted diagonals of its entries.
+# What moments and witnesses accept; algebra fills either one's memo from one
+# Gram table, built from a PureState's amplitude grid or gathered from a
+# DensityOperator's shifted diagonals.
 State = PureState | DensityOperator
 
 

@@ -44,9 +44,11 @@ def bell_xp_state(alpha: complex, beta: complex, cutoff: Cutoff) -> PureState:
 
 
 def _tmsv_amplitudes(r: float, phi: float, levels: int) -> np.ndarray:
-    """Unnormalized diagonal Schmidt amplitudes sech(r) (e^{i phi} tanh r)^n."""
+    """Unnormalized diagonal Schmidt amplitudes sech(r) (e^{i phi} tanh r)^n,
+    with sech(r) = 2 e^{-r} / (1 + e^{-2r}), which cannot overflow as cosh(r) can."""
     lam = np.exp(1j * phi) * np.tanh(r)
-    return np.array([lam**n for n in range(levels)], dtype=complex) / np.cosh(r)
+    sech = 2.0 * np.exp(-r) / (1.0 + np.exp(-2.0 * r))
+    return np.array([lam**n for n in range(levels)], dtype=complex) * sech
 
 
 def two_mode_squeezed_vacuum(

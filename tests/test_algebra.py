@@ -253,9 +253,9 @@ class TestMoments:
         calls = []
         gram = algebra._gram
 
-        def counted(psi, shifts):
+        def counted(state, shifts):
             calls.append(shifts)
-            return gram(psi, shifts)
+            return gram(state, shifts)
 
         monkeypatch.setattr(algebra, "_gram", counted)
         return calls
@@ -271,19 +271,38 @@ class TestMoments:
         assert len(gram_calls) == 1
         assert psi._moments == filled
 
-    def test_witness_set_fills_pure_memo_once(self, gram_calls, rng):
+    @pytest.mark.parametrize("kind", ["pure", "density"])
+    def test_witness_set_fills_memo_once(self, gram_calls, rng, kind):
         c = Cutoff(6, 5)
-        grid = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-        psi = PureState(grid.reshape(-1) / np.linalg.norm(grid), c)
-        mancini_witness(psi)
+        if kind == "pure":
+            grid = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+            state = PureState(grid.reshape(-1) / np.linalg.norm(grid), c)
+        else:
+            state = random_density(rng, c)
+        mancini_witness(state)
         for gain in (0.5, 1.0, 2.0):
-            duan_witness(psi, gain)
-        su2_pt_witness(psi)
-        su11_pt_witness(psi, "ladder")
-        su11_pt_witness(psi, "quadrature")
+            duan_witness(state, gain)
+        su2_pt_witness(state)
+        su11_pt_witness(state, "ladder")
+        su11_pt_witness(state, "quadrature")
         assert len(gram_calls) == 1
         # No memo entry is stored for a monomial the power guard rejects.
-        assert all(m + n < c.d_a and p + q < c.d_b for m, n, p, q in psi._moments)
+        assert all(m + n < c.d_a and p + q < c.d_b for m, n, p, q in state._moments)
+
+    def test_density_gather_past_chunk_floor(self, rng):
+        from entcert import algebra
+
+        # A 3x3 rectangle gathers 81 entries per flat index, so at 15x15 the
+        # gather is past the chunk floor and is built in more than one chunk.
+        c = Cutoff(15, 15)
+        assert 81 * c.dim > algebra._CHUNK_FLOOR
+        rho = random_density(rng, c)
+        u = quadrature_poly({"xa": 1.0, "xb": 1.0})
+        expectation_poly(rho, u * u)
+        assert len(rho._moments) == 81
+        for mono, value in rho._moments.items():
+            dense = np.einsum("ij,ji->", rho.entries, word_matrix(mono_word(mono), c))
+            assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense)), mono
 
     def test_power_guard(self, rng):
         c = Cutoff(3, 3)

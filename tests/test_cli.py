@@ -93,6 +93,15 @@ class TestEvaluate:
         output = json.loads(capsys.readouterr().out)
         assert output["reports"]["ppt"]["entangled_detected"] is True
 
+    def test_large_squeezing_is_one_numeric_line(self, tmp_path, capsys):
+        # cosh(800) overflowed, and numpy's warning came before the numeric: line.
+        config = write_config(tmp_path, {"state": {"kind": "tmsv", "r": 800, "phi": 0}})
+        assert main(["evaluate", config]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric: TMSV r=800")
+        assert captured.err.count("\n") == 1
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -397,18 +406,9 @@ class TestOverrides:
         assert peak < 2**20
         assert not (tmp_path / "scan.csv").exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    @pytest.mark.parametrize("command", ["evaluate", "sweep", "expr"])
-    def test_non_finite_tol_is_config_error(self, tmp_path, capsys, command, tol):
-        # This state keeps 55% of its weight at 4x4; a NaN tolerance passed
-        # every kept-weight check and printed a full report.
-        config = write_config(
-            tmp_path,
-            {
-                "state": {"kind": "tmsv", "r": 1.5, "phi": 0, "cutoff": {"d_a": 4, "d_b": 4}},
-                "sweep": {"n_theta": 1, "n_phi": 1},
-            },
-        )
+    @staticmethod
+    def _assert_tol_refused(tmp_path, capsys, payload, command, tol, message):
+        config = write_config(tmp_path, payload)
         args = {
             "evaluate": ["evaluate", config],
             "sweep": ["sweep", config, str(tmp_path / "scan.csv")],
@@ -417,8 +417,27 @@ class TestOverrides:
         assert main(args + ["--tol", tol]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "config: --tol must be finite\n"
+        assert captured.err == f"config: --tol must be {message}\n"
         assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "expr"])
+    def test_non_finite_tol_is_config_error(self, tmp_path, capsys, command, tol):
+        # This state keeps 55% of its weight at 4x4; a NaN tolerance passed
+        # every kept-weight check and printed a full report.
+        payload = {
+            "state": {"kind": "tmsv", "r": 1.5, "phi": 0, "cutoff": {"d_a": 4, "d_b": 4}},
+            "sweep": {"n_theta": 1, "n_phi": 1},
+        }
+        self._assert_tol_refused(tmp_path, capsys, payload, command, tol, "finite")
+
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "expr"])
+    def test_non_positive_tol_is_config_error(self, tmp_path, capsys, command, tol):
+        # A config every command accepts: sweep ignored --tol and exited 0,
+        # and evaluate and expr blamed state.trunc_tol.
+        payload = bell_config(sweep={"n_theta": 1, "n_phi": 1})
+        self._assert_tol_refused(tmp_path, capsys, payload, command, tol, "positive")
 
     def test_tol_override_allows_smaller_basis(self, tmp_path, capsys):
         config = write_config(

@@ -3,9 +3,9 @@
 Moments, witnesses and DSL queries accept a PureState directly and read it
 from its amplitude grid (PPT from its singular values).  On random states
 and on the four CLI state kinds, every reported quantity must match the
-same report on density_from_pure(psi), which reads moments from the
-shifted diagonals of the full d_a d_b x d_a d_b matrix and takes PPT from
-the dense partial-transpose eigensolve.
+same report on density_from_pure(psi), which gathers its moment table from
+the shifted diagonals of the full d_a d_b x d_a d_b matrix and takes PPT
+from the dense partial-transpose eigensolve.
 """
 
 import tracemalloc
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from entcert import (
     Cutoff,
+    DensityOperator,
     Monomial,
     OperatorPoly,
     PowerGuardError,
@@ -38,7 +39,7 @@ from entcert import (
 from entcert.criteria import BUILTIN_QUERIES, DETECTION_MARGIN
 from entcert.dsl import evaluate_text
 
-from conftest import word_matrix
+from conftest import random_density, word_matrix
 
 TOL = 1e-10
 # A verdict is only compared where its decision value is clear of the
@@ -158,13 +159,23 @@ def test_moments_match_dense(psi, seed):
         assert moment(psi, mono) == pytest.approx(moment(rho, mono), rel=TOL, abs=TOL)
 
 
+@st.composite
+def random_mixed(draw, min_levels=2, max_levels=8):
+    """Random full-rank DensityOperator with support up to the top levels."""
+    d_a = draw(st.integers(min_levels, max_levels))
+    d_b = draw(st.integers(min_levels, max_levels))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_density(rng, Cutoff(d_a, d_b))
+
+
 @PROPERTY
-@given(random_pure(), st.data())
-def test_memo_growth_matches_word_matrix(psi, data):
+@given(st.one_of(random_pure(), random_mixed()), st.data())
+def test_memo_growth_matches_word_matrix(state, data):
     """A small fill first, then E[a^3 b^3] and edge-of-guard monomials, each
     filling the rectangle of shifts of its own monomial or, past its size
-    cap, reading the two shifts of that monomial."""
-    d_a, d_b = psi.cutoff.d_a, psi.cutoff.d_b
+    cap, reading the two shifts of that monomial; on pure and mixed states."""
+    d_a, d_b = state.cutoff.d_a, state.cutoff.d_b
+    rho = state if isinstance(state, DensityOperator) else density_from_pure(state)
     m = data.draw(st.integers(0, d_a - 1))
     p = data.draw(st.integers(0, d_b - 1))
     edges = [(m, d_a - 1 - m, p, d_b - 1 - p), (d_a - 1, 0, 0, d_b - 1), (m, d_a - m, 0, 0)]
@@ -172,12 +183,12 @@ def test_memo_growth_matches_word_matrix(psi, data):
         poly = OperatorPoly({Monomial(*mono): 1.0})
         if mono[0] + mono[1] >= d_a or mono[2] + mono[3] >= d_b:
             with pytest.raises(PowerGuardError):
-                expectation_poly(psi, poly)
-            assert mono not in psi._moments
+                expectation_poly(state, poly)
+            assert mono not in state._moments
             continue
         word = ["ad"] * mono[0] + ["a"] * mono[1] + ["bd"] * mono[2] + ["b"] * mono[3]
-        dense = np.vdot(psi.amplitudes, word_matrix(word, psi.cutoff) @ psi.amplitudes)
-        assert abs(expectation_poly(psi, poly) - dense) <= 1e-12 * max(1.0, abs(dense)), mono
+        dense = np.einsum("ij,ji->", rho.entries, word_matrix(word, state.cutoff))
+        assert abs(expectation_poly(state, poly) - dense) <= 1e-12 * max(1.0, abs(dense)), mono
 
 
 @PROPERTY

@@ -108,6 +108,12 @@ class TestTmsv:
         for n in range(10):
             assert psi.amplitude(n, n) == pytest.approx(rebuilt[n], abs=1e-14)
 
+    @pytest.mark.parametrize("r", [711.0, 800.0, 1e6])
+    def test_large_squeezing_fails_tolerance_without_overflow(self, r):
+        # sech(r) underflows to 0 here; 1 / cosh(r) overflowed cosh past r ~ 710.
+        with pytest.raises(TruncationError, match="keeps only 0.000000000000"):
+            two_mode_squeezed_vacuum(r, 0.0, Cutoff(12, 12))
+
 
 class TestPhotonSubtractedTmsv:
     def test_zero_squeezing_degenerates(self):
