@@ -336,17 +336,6 @@ def _fill_moments(state: State, mono: Monomial, monos: Iterable[Monomial]) -> No
     memo.update({key: value for key, value in zip(keys, values) if key not in memo})
 
 
-def _memo_moment(state: State, mono, monos: Iterable[Monomial]) -> complex:
-    """mono's moment from the state's memo; a miss fills the memo for all of monos."""
-    mono = Monomial(*mono)
-    _check_power_guard(mono.adag + mono.a, mono.bdag + mono.b, state.cutoff)
-    value = state._moments.get(mono)
-    if value is None:
-        _fill_moments(state, mono, monos)
-        value = state._moments[mono]
-    return value
-
-
 def moment(rho: State, mono: Monomial) -> complex:
     """<adag^m a^n bdag^p b^q> on a pure state or a density operator.
 
@@ -355,42 +344,45 @@ def moment(rho: State, mono: Monomial) -> complex:
     every moment a Gram product of its weighted shifts yields (see _gram)
     with the (immutable) state, so a later call is a dictionary read.
     """
-    return _memo_moment(rho, mono, (mono,))
+    return expectation_poly(rho, OperatorPoly({mono: 1.0}))
 
 
 def expectation_poly(rho: State, poly: OperatorPoly) -> complex:
     """<poly> on rho, as the coefficient-weighted sum of monomial moments.
 
-    The state's memo is read first; the first monomial it lacks fills it,
-    in one Gram product, for every monomial of poly.
+    The state's memo is read first; the first monomial it lacks passes the
+    power guard and then fills the memo, in one Gram product, for every
+    monomial of poly.
     """
     total = 0.0 + 0.0j
     memo = rho._moments
     for mono, coeff in poly.terms.items():
         value = memo.get(mono)
         if value is None:
-            value = _memo_moment(rho, mono, poly.terms)
+            _check_power_guard(mono.adag + mono.a, mono.bdag + mono.b, rho.cutoff)
+            _fill_moments(rho, mono, poly.terms)
+            value = memo[mono]
         total += coeff * value
     return total
 
 
 @lru_cache(maxsize=128)
-def _square(poly: OperatorPoly, herm_tol: float) -> OperatorPoly:
+def _square(poly: OperatorPoly) -> OperatorPoly:
     """poly * poly once poly is checked Hermitian; bounded, since callers may
     pass a fresh polynomial per state."""
-    if not poly.is_hermitian(herm_tol):
+    if not poly.is_hermitian():
         raise HermiticityError(f"variance requires a Hermitian polynomial, got {poly!r}")
     return poly * poly
 
 
-def variance(rho: State, poly: OperatorPoly, herm_tol: float = 1e-12) -> float:
+def variance(rho: State, poly: OperatorPoly) -> float:
     """<poly^2> - <poly>^2 for a Hermitian polynomial; clamps tiny negatives.
 
     On a physical state the result is nonnegative; values below -1e-10
     indicate a non-positive input matrix and raise.  The square is
     evaluated first, so one memo fill serves both.
     """
-    second = expectation_poly(rho, _square(poly, herm_tol))
+    second = expectation_poly(rho, _square(poly))
     mean = expectation_poly(rho, poly)
     value = (second - mean * mean).real
     if value < -1e-10:

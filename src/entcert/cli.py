@@ -37,8 +37,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import criteria, dsl, states
-from .errors import DimensionError, DslError, EntcertError, ParseError
-from .fock import Cutoff
+from .errors import DslError, EntcertError, ParseError
+from .fock import Cutoff, check_physical_memory
 from .states import DEFAULT_TRUNC_TOL, TruncationReport
 
 _SWEEP_COLUMNS = (
@@ -108,15 +108,7 @@ def _parse_cutoff(state_cfg: dict, kind: str, override) -> Cutoff:
     """The run's cutoff, checked against physical memory before any array exists."""
     cutoff = _requested_cutoff(state_cfg, kind, override)
     needed = _GRID_ARRAYS_HELD * np.dtype(complex).itemsize * cutoff.dim
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
-        return cutoff
-    if needed > physical:
-        raise DimensionError(
-            f"cutoff {cutoff.d_a}x{cutoff.d_b} needs about {needed / 2**30:.3g} GiB of "
-            f"amplitude arrays, more than the {physical / 2**30:.3g} GiB of physical memory"
-        )
+    check_physical_memory(needed, f"cutoff {cutoff.d_a}x{cutoff.d_b}", "amplitude arrays")
     return cutoff
 
 
@@ -276,12 +268,12 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
             alpha = math.cos(theta) * complex(math.cos(phi_r), math.sin(phi_r))
             beta = complex(math.sin(theta))
             psi = states.bell_xp_state(alpha, beta, cutoff)
-            m_sum, m_minus, m_x = criteria.duan_mancini_relation(psi)
+            mancini = criteria.mancini_witness(psi)
+            var_u, var_v = mancini.quantities["var_u"], mancini.quantities["var_v"]
             su2 = criteria.su2_pt_witness(psi)
             su11 = criteria.su11_pt_witness(psi, "ladder")
             ppt = criteria.ppt_witness(psi)
             closed = criteria.bell_closed_forms(alpha, beta, 1.0)
-            mancini_detected = m_x < 1.0 - criteria.DETECTION_MARGIN
             duan_detected = any(
                 criteria.duan_witness(psi, m).entangled_detected for m in m_values
             )
@@ -292,9 +284,9 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
                 _fmt(alpha.imag),
                 _fmt(beta.real),
                 _fmt(beta.imag),
-                _fmt(m_sum),
-                _fmt(m_minus),
-                _fmt(m_x),
+                _fmt(var_u + var_v),
+                _fmt(var_u - var_v),
+                _fmt(mancini.quantities["M_x"]),
                 _fmt(su2.quantities["lhs"]),
                 _fmt(su2.quantities["rhs"]),
                 _fmt(su11.quantities["lhs"]),
@@ -302,7 +294,7 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
                 _fmt(closed["su11_reduced"]),
                 _fmt(ppt.quantities["min_eigenvalue"]),
                 _fmt(ppt.quantities["negativity"]),
-                _fmt_bool(mancini_detected),
+                _fmt_bool(mancini.entangled_detected),
                 _fmt_bool(duan_detected),
                 _fmt_bool(su2.entangled_detected),
                 _fmt_bool(su11.entangled_detected),

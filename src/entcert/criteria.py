@@ -37,15 +37,23 @@ DETECTION_MARGIN = TOL_PSD
 _REAL_TOL = 1e-10
 
 
+def fires(lhs: float, bound: float) -> bool:
+    """The one verdict rule: lhs is below the separable bound by more than DETECTION_MARGIN."""
+    return lhs < bound - DETECTION_MARGIN
+
+
 @dataclass(frozen=True)
 class CriterionReport:
-    """Outcome of one witness on one state."""
+    """Outcome of one witness on one state; the bound holds iff nothing was detected."""
 
     name: str
     quantities: dict[str, float] = field(default_factory=dict)
-    separable_bound_holds: bool = True
+    separable_bound_holds: bool = field(init=False)
     entangled_detected: bool = False
     conventions: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "separable_bound_holds", not self.entangled_detected)
 
 
 def _real(value: complex, label: str) -> float:
@@ -71,7 +79,6 @@ def mancini_witness(rho: State) -> CriterionReport:
     var_u = variance(rho, _U_SUM)
     var_v = variance(rho, _V_DIFF)
     m_x = var_u * var_v
-    detected = m_x < 1.0 - DETECTION_MARGIN
     return CriterionReport(
         name="Mancini",
         quantities={
@@ -82,8 +89,7 @@ def mancini_witness(rho: State) -> CriterionReport:
             "bound_M_x": 1.0,
             "bound_stddev_product": 0.5,
         },
-        separable_bound_holds=not detected,
-        entangled_detected=detected,
+        entangled_detected=fires(m_x, 1.0),
         conventions="u=xa+xb, v=pa-pb; x=(a+ad)/sqrt2; M_x bound 1 equals "
         "(stddev bound 1/2)^2 times 4",
     )
@@ -109,7 +115,6 @@ def duan_witness(rho: State, m: float = 1.0) -> CriterionReport:
     u, v = _duan_pair(m)
     total = variance(rho, u) + variance(rho, v)
     bound = m * m + 1.0 / (m * m)
-    detected = total < bound - DETECTION_MARGIN
     return CriterionReport(
         name=f"Duan(m={m:g})",
         quantities={
@@ -118,17 +123,15 @@ def duan_witness(rho: State, m: float = 1.0) -> CriterionReport:
             "bound": bound,
             "heisenberg_floor": abs(m * m - 1.0 / (m * m)),
         },
-        separable_bound_holds=not detected,
-        entangled_detected=detected,
+        entangled_detected=fires(total, bound),
         conventions="u=|m|xa+xb/m, v=|m|pa-pb/m",
     )
 
 
 def duan_mancini_relation(rho: State) -> tuple[float, float, float]:
-    """(M, M_minus, M_x) at m=1; M^2 = M_minus^2 + 4 M_x identically."""
-    var_u = variance(rho, _U_SUM)
-    var_v = variance(rho, _V_DIFF)
-    return var_u + var_v, var_u - var_v, var_u * var_v
+    """(M, M_minus, M_x) at m=1 from Mancini's report; M^2 = M_minus^2 + 4 M_x identically."""
+    q = mancini_witness(rho).quantities
+    return q["var_u"] + q["var_v"], q["var_u"] - q["var_v"], q["M_x"]
 
 
 # -- fourth-order witnesses --------------------------------------------
@@ -185,12 +188,10 @@ def _pt_uncertainty_report(rho: State, triple, name: str, conventions: str) -> C
     bracket1, bracket2 = brackets
     lhs = bracket1 * bracket2
     rhs = abs(expectation_poly(rho, z)) ** 2
-    detected = lhs < rhs - DETECTION_MARGIN
     return CriterionReport(
         name=name,
         quantities={"lhs": lhs, "rhs": rhs, "bracket1": bracket1, "bracket2": bracket2},
-        separable_bound_holds=not detected,
-        entangled_detected=detected,
+        entangled_detected=fires(lhs, rhs),
         conventions=conventions,
     )
 
@@ -240,7 +241,7 @@ def su11_pt_witness(rho: State, mode: str = "ladder") -> CriterionReport:
 # -- exact partial-transpose test ---------------------------------------
 
 def ppt_witness(rho: State) -> CriterionReport:
-    """Spectrum test: any eigenvalue of rho^PT below -tol certifies entanglement.
+    """Spectrum test: any eigenvalue of rho^PT below -DETECTION_MARGIN certifies entanglement.
 
     For a pure state the spectrum is known from the Schmidt coefficients
     s_1 >= s_2 >= ... (the singular values of the amplitude grid): it is
@@ -256,12 +257,10 @@ def ppt_witness(rho: State) -> CriterionReport:
         eigs = hermitian_eigenvalues(partial_transpose_b(rho).entries)
         min_eig = float(eigs[0])
         negativity = float(-np.sum(eigs[eigs < 0.0])) + 0.0
-    detected = min_eig < -TOL_PSD
     return CriterionReport(
         name="PPT",
         quantities={"min_eigenvalue": min_eig, "negativity": negativity},
-        separable_bound_holds=not detected,
-        entangled_detected=detected,
+        entangled_detected=fires(min_eig, 0.0),
         conventions="partial transpose over mode b; negativity = sum |negative eigenvalues|",
     )
 

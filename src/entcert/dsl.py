@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import algebra
 from .algebra import OperatorPoly, expectation_poly, variance
-from .criteria import DETECTION_MARGIN
+from .criteria import fires
 from .errors import EntcertError, LexError, ParseError
 from .fock import Cutoff, State
 
@@ -109,6 +109,8 @@ class Abs2:
 # Both levels share the arithmetic nodes: operator expressions fold them
 # into polynomials, query arithmetic into complex numbers.
 _BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+# Query nodes that take an operator expression in brackets.
+_OPERATOR_QUERIES = {"E": EQuery, "Var": VarQuery}
 
 
 @dataclass(frozen=True)
@@ -156,17 +158,12 @@ def tokenize(text: str) -> list[Token]:
             if stripped >= len(text):
                 break
             raise LexError(f"unexpected character {text[stripped]!r}", stripped)
-        if match.lastgroup == "number":
-            tokens.append(Token("number", match.group("number"), match.start("number")))
-        elif match.lastgroup == "name":
-            tokens.append(Token("name", match.group("name"), match.start("name")))
-        elif match.lastgroup == "geq":
-            tokens.append(Token(">=", ">=", match.start("geq")))
-        else:
-            ch = match.group("punct")
-            if ch == "−":
-                ch = "-"
-            tokens.append(Token(ch, ch, match.start("punct")))
+        # A number or a name takes its group as kind; ">=" and punctuation
+        # are their own kind, with the unicode minus read as "-".
+        group = match.lastgroup
+        lexeme = match.group(group).replace("−", "-")
+        kind = group if group in ("number", "name") else lexeme
+        tokens.append(Token(kind, lexeme, match.start(group)))
         pos = match.end()
     tokens.append(Token("end", "", len(text)))
     return tokens
@@ -235,18 +232,12 @@ class _Parser:
 
     def parse_afact(self):
         tok = self.current
-        if tok.kind == "name" and tok.text == "E":
+        if tok.kind == "name" and tok.text in _OPERATOR_QUERIES:
             self._advance()
-            self._expect("[", "'[' after E")
+            self._expect("[", f"'[' after {tok.text}")
             expr = self.parse_expr()
             self._expect("]", "']'")
-            return EQuery(expr)
-        if tok.kind == "name" and tok.text == "Var":
-            self._advance()
-            self._expect("[", "'[' after Var")
-            expr = self.parse_expr()
-            self._expect("]", "']'")
-            return VarQuery(expr)
+            return _OPERATOR_QUERIES[tok.text](expr)
         if tok.kind == "name" and tok.text == "abs2":
             self._advance()
             self._expect("(", "'(' after abs2")
@@ -286,12 +277,9 @@ class _Parser:
     def parse_primary(self):
         tok = self.current
         if tok.kind == "name":
-            if tok.text in OPERATOR_SYMBOLS:
+            if tok.text in OPERATOR_SYMBOLS or tok.text == "i":
                 self._advance()
                 return Symbol(tok.text)
-            if tok.text == "i":
-                self._advance()
-                return Symbol("i")
             self._fail("an operator symbol (a, ad, b, bd, xa, pa, xb, pb) or i")
         if tok.kind == "number":
             return self._number()
@@ -458,17 +446,17 @@ def evaluate(node, rho: State):
 
     Returns a complex number for value queries and a CompareResult for
     comparisons.  Comparisons are evaluated on the real parts after
-    checking the imaginary parts are negligible, with the witnesses' rule:
-    lhs < rhs only when lhs falls below rhs by more than DETECTION_MARGIN,
-    so a state that saturates a bound holds it whatever the round-off.
+    checking the imaginary parts are negligible, with the witnesses' rule
+    criteria.fires: lhs < rhs only when it fires, so a state that saturates
+    a bound holds it whatever the round-off.
     A value or a side of a comparison that overflows is a LoweringError.
     """
     try:
         if isinstance(node, Compare):
             lhs = _to_real(_evaluate_value(node.left, rho), "left side of comparison")
             rhs = _to_real(_evaluate_value(node.right, rho), "right side of comparison")
-            bound = rhs - DETECTION_MARGIN
-            holds = lhs >= bound if node.relation == ">=" else lhs < bound
+            fired = fires(lhs, rhs)
+            holds = fired if node.relation == "<" else not fired
             return CompareResult(lhs=lhs, rhs=rhs, holds=holds, relation=node.relation)
         return _finite(_evaluate_value(node, rho), "value")
     except OverflowError as exc:

@@ -6,6 +6,7 @@ outer).  With that ordering a joint operator O_a (x) O_b is exactly
 ``np.kron(op_a, op_b)``.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,19 +50,19 @@ def _frozen_copy(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized amplitude vector over the joint truncated basis.
 
     The amplitudes are a read-only copy of the constructor's input, which
     is what makes the per-state moment memo sound.  algebra fills
     ``_moments`` (monomial -> moment) from Gram products of weighted shifts
-    of the grid.
+    of the grid.  States compare and hash by identity.
     """
 
     amplitudes: np.ndarray
     cutoff: Cutoff
-    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _moments: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         amps = _frozen_copy(self.amplitudes)
@@ -83,7 +84,7 @@ class PureState:
         return self.amplitudes.reshape(self.cutoff.d_a, self.cutoff.d_b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, unit-trace matrix on the joint truncated basis.
 
@@ -96,7 +97,7 @@ class DensityOperator:
 
     entries: np.ndarray
     cutoff: Cutoff
-    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _moments: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         mat = _frozen_copy(self.entries)
@@ -110,6 +111,21 @@ class DensityOperator:
         tr = np.trace(mat)
         if abs(tr - 1.0) > TOL_TRACE:
             raise NormalizationError(f"density matrix trace {tr!r} differs from 1")
+
+
+def check_physical_memory(needed: int, subject: str, kind: str) -> None:
+    """Raise DimensionError when subject needs more bytes of kind than the
+    machine's physical memory; a platform without sysconf is not checked.
+    Callers check before they allocate, so a refusal costs nothing."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return
+    if needed > physical:
+        raise DimensionError(
+            f"{subject} needs about {needed / 2**30:.3g} GiB of {kind}, more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory"
+        )
 
 
 # What moments and witnesses accept; algebra fills either one's memo from one
@@ -157,18 +173,18 @@ def partial_transpose_matrix(op: np.ndarray, cutoff: Cutoff) -> np.ndarray:
     return op.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(cutoff.dim, cutoff.dim)
 
 
-def hermitian_eigenvalues(op: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def hermitian_eigenvalues(op: np.ndarray) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending.
 
     Raises HermiticityError when the input's Hermiticity defect exceeds
-    ``tol`` relative to the largest entry.
+    TOL_HERM relative to the largest entry.
     """
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {op.shape}")
     scale = max(1.0, float(np.max(np.abs(op))))
     defect = float(np.max(np.abs(op - op.conj().T)))
-    if defect > tol * scale:
+    if defect > TOL_HERM * scale:
         raise HermiticityError(f"Hermiticity defect {defect:.3e} exceeds tolerance")
     return np.linalg.eigvalsh(op)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, NormalizationError, TruncationError
-from .fock import TOL_NORM, Cutoff, DensityOperator, PureState
+from .fock import TOL_NORM, Cutoff, DensityOperator, PureState, check_physical_memory
 
 DEFAULT_TRUNC_TOL = 1e-8
 
@@ -144,7 +144,17 @@ def product_coherent(
     )
 
 
+# Dense dim x dim complex matrices density_from_pure holds at once: the outer
+# product, DensityOperator's read-only copy, and the conjugate and the
+# difference of its Hermiticity check.  Measured with tracemalloc from 20x20
+# to 40x40: a peak of 4.00-4.05 matrices, rounded up here.
+_DENSITY_MATRICES_HELD = 5
+
+
 def density_from_pure(psi: PureState) -> DensityOperator:
-    """Rank-one projector |psi><psi|."""
+    """Rank-one projector |psi><psi|, refused before any matrix exists if it would not fit."""
+    cutoff = psi.cutoff
+    needed = _DENSITY_MATRICES_HELD * np.dtype(complex).itemsize * cutoff.dim**2
+    check_physical_memory(needed, f"a {cutoff.d_a}x{cutoff.d_b} density operator", "dense matrices")
     mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityOperator(mat, psi.cutoff)
+    return DensityOperator(mat, cutoff)

@@ -1,9 +1,12 @@
 """Witness behavior: paper values on the Bell family, soundness, identities."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from entcert import (
+    CriterionReport,
     Cutoff,
     NormalizationError,
     bell_closed_forms,
@@ -20,7 +23,8 @@ from entcert import (
     su11_pt_witness,
     two_mode_squeezed_vacuum,
 )
-from entcert.criteria import BUILTIN_OPERATORS
+from entcert.criteria import BUILTIN_OPERATORS, DETECTION_MARGIN, fires
+from entcert.dsl import evaluate_text
 
 from conftest import random_bell_params, random_density
 
@@ -34,6 +38,43 @@ def bell_rho(alpha, beta, d=3):
 @pytest.fixture
 def vacuum():
     return density_from_pure(product_coherent(0.0, 0.0, Cutoff(4, 4))[0])
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize(
+        "lhs, bound, fired",
+        [
+            (1.0, 1.0, False),
+            (1.0 - DETECTION_MARGIN, 1.0, False),
+            (1.0 - 2.0 * DETECTION_MARGIN, 1.0, True),
+            (-DETECTION_MARGIN, 0.0, False),
+            (-2.0 * DETECTION_MARGIN, 0.0, True),
+        ],
+    )
+    def test_fires_only_past_the_margin(self, lhs, bound, fired):
+        assert fires(lhs, bound) is fired
+
+    @pytest.mark.parametrize("lhs", ["1", "1 - 1e-10", "1 - 3e-10", "1 + 1e-10"])
+    def test_dsl_comparisons_follow_the_rule(self, vacuum, lhs):
+        # "<" holds exactly when the rule fires, ">=" exactly when it does not.
+        below = evaluate_text(f"{lhs} < 1", vacuum)
+        at_least = evaluate_text(f"{lhs} >= 1", vacuum)
+        assert below.holds is fires(below.lhs, 1.0)
+        assert at_least.holds is not fires(at_least.lhs, 1.0)
+        assert below.holds is (lhs == "1 - 3e-10")
+
+    def test_bound_holds_is_derived_from_the_verdict(self):
+        assert CriterionReport("x").separable_bound_holds is True
+        assert CriterionReport("x", entangled_detected=True).separable_bound_holds is False
+        with pytest.raises(TypeError):
+            CriterionReport("x", separable_bound_holds=False)
+        assert list(asdict(CriterionReport("x"))) == [
+            "name",
+            "quantities",
+            "separable_bound_holds",
+            "entangled_detected",
+            "conventions",
+        ]
 
 
 class TestMancini:
@@ -108,6 +149,15 @@ class TestDuanManciniRelation:
             rho = random_density(rng, c)
             m_sum, m_minus, m_x = duan_mancini_relation(rho)
             assert m_sum**2 == pytest.approx(m_minus**2 + 4.0 * m_x, abs=1e-10)
+
+    def test_reads_mancini_report(self, rng):
+        rho = random_density(rng, Cutoff(4, 4))
+        q = mancini_witness(rho).quantities
+        assert duan_mancini_relation(rho) == (
+            q["var_u"] + q["var_v"],
+            q["var_u"] - q["var_v"],
+            q["M_x"],
+        )
 
     def test_hierarchy_mancini_implies_duan(self, rng):
         # M_x >= 1 forces M >= 2, so the product test dominates the sum test

@@ -228,6 +228,18 @@ class TestStateTypes:
         # Sanity link between the quadrature table and the matrices used here.
         assert set(QUADRATURES) == {"xa", "pa", "xb", "pb"}
 
+    def test_states_compare_and_hash_by_identity(self):
+        # Equal amplitudes do not make equal states: comparison and hashing
+        # go by identity, never through the ndarray fields.
+        c = Cutoff(3, 3)
+        psi = bell_xp_state(SQRT_HALF, SQRT_HALF, c)
+        twin = bell_xp_state(SQRT_HALF, SQRT_HALF, c)
+        rho, rho_twin = density_from_pure(psi), density_from_pure(psi)
+        assert psi == psi and rho == rho
+        assert psi != twin and rho != rho_twin and psi != rho
+        assert len({psi, twin, rho, rho_twin, psi}) == 4
+        assert {psi: 1}[psi] == 1
+
 
 class TestReadOnlyArrays:
     def test_pure_amplitudes_read_only(self):

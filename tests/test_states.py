@@ -1,11 +1,14 @@
 """State constructors: supports, truncation accounting, normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entcert import (
     Cutoff,
     DegenerateStateError,
+    DimensionError,
     NormalizationError,
     TruncationError,
     bell_xp_state,
@@ -232,3 +235,16 @@ class TestDensityFromPure:
         eigs = np.linalg.eigvalsh(rho.entries)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(eigs[:-1])) < 1e-12
+
+    def test_refuses_beyond_physical_memory_unallocated(self):
+        # 1000x1000 levels: a 16 MB amplitude vector, but about 16 TB per
+        # dense matrix, so the refusal must come before np.outer.
+        psi = bell_xp_state(SQRT_HALF, SQRT_HALF, Cutoff(1000, 1000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="1000x1000 density operator needs about"):
+                density_from_pure(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
