@@ -22,6 +22,7 @@ from .errors import HermiticityError, PowerGuardError
 from .fock import Cutoff, DensityOperator, State
 
 SQRT2 = math.sqrt(2.0)
+HERMITIAN_TOL = 1e-12  # largest coefficient gap to the adjoint that is_hermitian allows
 
 
 class Monomial(NamedTuple):
@@ -148,10 +149,9 @@ class OperatorPoly:
             {Monomial(m, n, q, p): coeff for (m, n, p, q), coeff in self.terms.items()}
         )
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        adj = self.adjoint()
-        monos = set(self.terms) | set(adj.terms)
-        return all(abs(self.terms.get(m, 0.0) - adj.terms.get(m, 0.0)) <= tol for m in monos)
+    def is_hermitian(self) -> bool:
+        gap = self - self.adjoint()
+        return all(abs(c) <= HERMITIAN_TOL for c in gap.terms.values())
 
     # -- comparison / display -----------------------------------------
 
@@ -175,7 +175,7 @@ class OperatorPoly:
         return "OperatorPoly(" + " + ".join(parts) + ")"
 
 
-# Elementary polynomials, shared by criteria and the DSL lowering pass.
+# Elementary polynomials, the symbols of the DSL lowering pass.
 AD = OperatorPoly.ladder("ad")
 A = OperatorPoly.ladder("a")
 BD = OperatorPoly.ladder("bd")

@@ -25,21 +25,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import algebra
-from .algebra import A, AD, B, BD, ONE, OperatorPoly, expectation_poly, quadrature_poly, variance
-from .errors import NormalizationError
-from .fock import TOL_NORM, TOL_PSD, PureState, State, hermitian_eigenvalues, partial_transpose_b
-
-# Margin below a separable bound before a witness fires; keeps states that
-# merely saturate a bound (vacuum does, for several) out of the detections.
-DETECTION_MARGIN = TOL_PSD
+from .algebra import OperatorPoly, expectation_poly, quadrature_poly, variance
+from .dsl import lower, parse_operator
+from .fock import PureState, State, hermitian_eigenvalues, partial_transpose_b
+# The verdict rule lives in fock; witness callers also read it from here.
+from .fock import DETECTION_MARGIN, fires  # noqa: F401
+from .states import bell_coefficients
 
 _REAL_TOL = 1e-10
-
-
-def fires(lhs: float, bound: float) -> bool:
-    """The one verdict rule: lhs is below the separable bound by more than DETECTION_MARGIN."""
-    return lhs < bound - DETECTION_MARGIN
 
 
 @dataclass(frozen=True)
@@ -64,10 +57,6 @@ def _real(value: complex, label: str) -> float:
 
 # -- second-order witnesses --------------------------------------------
 
-_U_SUM = quadrature_poly({"xa": 1.0, "xb": 1.0})
-_V_DIFF = quadrature_poly({"pa": 1.0, "pb": -1.0})
-
-
 def mancini_witness(rho: State) -> CriterionReport:
     """Variance-product witness: separable states keep Var(u) Var(v) >= 1.
 
@@ -76,8 +65,8 @@ def mancini_witness(rho: State) -> CriterionReport:
     1/sqrt(2)-normalized pair against bound 1/2 (M_x is 4 times the
     normalized variance product).
     """
-    var_u = variance(rho, _U_SUM)
-    var_v = variance(rho, _V_DIFF)
+    var_u = variance(rho, BUILTIN_OPERATORS["u_sum"][0])
+    var_v = variance(rho, BUILTIN_OPERATORS["v_diff"][0])
     m_x = var_u * var_v
     return CriterionReport(
         name="Mancini",
@@ -136,22 +125,24 @@ def duan_mancini_relation(rho: State) -> tuple[float, float, float]:
 
 # -- fourth-order witnesses --------------------------------------------
 
-# Operator polynomials as built here, next to the DSL text that must lower
-# to exactly the same canonical form (see tests).  K_*_quad is the K triple
-# written in quadratures; it lowers to K_* up to round-off.
-_XA, _PA, _XB, _PB = (algebra.QUADRATURES[s] for s in ("xa", "pa", "xb", "pb"))
+# Each witness operator is defined by its DSL text alone, and lowered to its
+# polynomial once, here.  K_*_quad is the K triple written in quadratures;
+# it lowers to K_* up to round-off.
 BUILTIN_OPERATORS: dict[str, tuple[OperatorPoly, str]] = {
-    "S_x": ((AD * B + A * BD) * 0.5, "(ad*b+a*bd)/2"),
-    "S_y": ((AD * B - A * BD) * (1.0 / 2j), "(ad*b-a*bd)/(2*i)"),
-    "S_z": ((AD * A - BD * B) * 0.5, "(ad*a-bd*b)/2"),
-    "K_x": ((AD * BD + A * B) * 0.5, "(ad*bd+a*b)/2"),
-    "K_y": ((AD * BD - A * B) * (1.0 / 2j), "(ad*bd-a*b)/(2*i)"),
-    "K_z": ((AD * A + BD * B + ONE) * 0.5, "(ad*a+bd*b+1)/2"),
-    "K_x_quad": ((_XA * _XB - _PA * _PB) * 0.5, "(xa*xb-pa*pb)/2"),
-    "K_y_quad": (-(_XA * _PB + _PA * _XB) * 0.5, "-(xa*pb+pa*xb)/2"),
-    "K_z_quad": ((_XA**2 + _PA**2 + _XB**2 + _PB**2) * 0.25, "(xa^2+pa^2+xb^2+pb^2)/4"),
-    "u_sum": (_U_SUM, "xa+xb"),
-    "v_diff": (_V_DIFF, "pa-pb"),
+    name: (lower(parse_operator(text)), text)
+    for name, text in (
+        ("S_x", "(ad*b+a*bd)/2"),
+        ("S_y", "(ad*b-a*bd)/(2*i)"),
+        ("S_z", "(ad*a-bd*b)/2"),
+        ("K_x", "(ad*bd+a*b)/2"),
+        ("K_y", "(ad*bd-a*b)/(2*i)"),
+        ("K_z", "(ad*a+bd*b+1)/2"),
+        ("K_x_quad", "(xa*xb-pa*pb)/2"),
+        ("K_y_quad", "-(xa*pb+pa*xb)/2"),
+        ("K_z_quad", "(xa^2+pa^2+xb^2+pb^2)/4"),
+        ("u_sum", "xa+xb"),
+        ("v_diff", "pa-pb"),
+    )
 }
 
 
@@ -276,12 +267,7 @@ def bell_closed_forms(alpha: complex, beta: complex, m: float = 1.0) -> dict:
     """
     if m == 0:
         raise ValueError("gain m must be nonzero")
-    alpha, beta = complex(alpha), complex(beta)
-    weight = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(weight - 1.0) > TOL_NORM:
-        raise NormalizationError(
-            f"|alpha|^2 + |beta|^2 = {weight!r}, expected 1 within {TOL_NORM}"
-        )
+    alpha, beta = bell_coefficients(alpha, beta)
     overlap = alpha.conjugate() * beta
     m2 = m * m
     return {

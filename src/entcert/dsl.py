@@ -23,14 +23,14 @@ same nodes at both levels.
 
 import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
 
 from . import algebra
 from .algebra import OperatorPoly, expectation_poly, variance
-from .criteria import fires
 from .errors import EntcertError, LexError, ParseError
-from .fock import Cutoff, State
+from .fock import Cutoff, State, fires
 
 OPERATOR_SYMBOLS = ("a", "ad", "b", "bd", "xa", "pa", "xb", "pb")
 
@@ -106,9 +106,10 @@ class Abs2:
     arg: object
 
 
-# Both levels share the arithmetic nodes: operator expressions fold them
-# into polynomials, query arithmetic into complex numbers.
+# Both levels share the arithmetic nodes and fold +, - and * alike: operator
+# expressions into polynomials, query arithmetic into complex numbers.
 _BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_RING_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 # Query nodes that take an operator expression in brackets.
 _OPERATOR_QUERIES = {"E": EQuery, "Var": VarQuery}
 
@@ -203,6 +204,12 @@ class _Parser:
             raise ParseError(f"number {tok.text!r} is too large", tok.pos)
         return ComplexLiteral(complex(value))
 
+    def _closed(self, inner, closing: str):
+        """inner's node, which the closing bracket must follow."""
+        node = inner()
+        self._expect(closing, f"'{closing}'")
+        return node
+
     def _chain(self, operand, ops):
         """operand ((op) operand)*, folded left into Add/Sub/Mul/Div nodes."""
         node = operand()
@@ -235,22 +242,16 @@ class _Parser:
         if tok.kind == "name" and tok.text in _OPERATOR_QUERIES:
             self._advance()
             self._expect("[", f"'[' after {tok.text}")
-            expr = self.parse_expr()
-            self._expect("]", "']'")
-            return _OPERATOR_QUERIES[tok.text](expr)
+            return _OPERATOR_QUERIES[tok.text](self._closed(self.parse_expr, "]"))
         if tok.kind == "name" and tok.text == "abs2":
             self._advance()
             self._expect("(", "'(' after abs2")
-            arg = self.parse_arith()
-            self._expect(")", "')'")
-            return Abs2(arg)
+            return Abs2(self._closed(self.parse_arith, ")"))
         if tok.kind == "number":
             return self._number()
         if tok.kind == "(":
             self._advance()
-            inner = self.parse_arith()
-            self._expect(")", "')'")
-            return Paren(inner)
+            return Paren(self._closed(self.parse_arith, ")"))
         self._fail("E[...], Var[...], abs2(...), a number, or '('")
 
     # operator-expression level ---------------------------------------
@@ -285,9 +286,7 @@ class _Parser:
             return self._number()
         if tok.kind == "(":
             self._advance()
-            inner = self.parse_expr()
-            self._expect(")", "')'")
-            return Paren(inner)
+            return Paren(self._closed(self.parse_expr, ")"))
         self._fail("an operator symbol, i, a number, or '('")
 
 
@@ -308,6 +307,7 @@ def parse_operator(text: str):
 # -- printing (round-trip) ------------------------------------------------
 
 _INFIX = {node_type: op for op, node_type in _BINARY.items()}
+_QUERY_NAMES = {node_type: name for name, node_type in _OPERATOR_QUERIES.items()}
 
 
 def format_expr(node) -> str:
@@ -326,10 +326,8 @@ def format_expr(node) -> str:
         return f"{format_expr(node.base)}^{node.exponent}"
     if isinstance(node, Paren):
         return f"({format_expr(node.inner)})"
-    if isinstance(node, EQuery):
-        return f"E[{format_expr(node.expr)}]"
-    if isinstance(node, VarQuery):
-        return f"Var[{format_expr(node.expr)}]"
+    if type(node) in _QUERY_NAMES:
+        return f"{_QUERY_NAMES[type(node)]}[{format_expr(node.expr)}]"
     if isinstance(node, Abs2):
         return f"abs2({format_expr(node.arg)})"
     raise TypeError(f"not an expression or query node: {node!r}")
@@ -357,36 +355,28 @@ _SYMBOL_POLYS = {
 }
 
 
-def lower(node) -> OperatorPoly:
-    """Translate an operator-expression AST to its canonical polynomial."""
-    return _lower(node, None)
-
-
-def _lower(node, cutoff: Cutoff | None) -> OperatorPoly:
-    """lower(node); given a cutoff, a power whose top degree reaches it raises
-    PowerGuardError before it is expanded (see _check_power)."""
+def lower(node, cutoff: Cutoff | None = None) -> OperatorPoly:
+    """Translate an operator-expression AST to its canonical polynomial; given
+    a cutoff, a power whose top degree reaches it raises PowerGuardError
+    before it is expanded (see _check_power)."""
     if isinstance(node, ComplexLiteral):
         return OperatorPoly.scalar(node.value)
     if isinstance(node, Symbol):
         return _SYMBOL_POLYS[node.name]
     if isinstance(node, Neg):
-        return -_lower(node.operand, cutoff)
-    if isinstance(node, Add):
-        return _lower(node.left, cutoff) + _lower(node.right, cutoff)
-    if isinstance(node, Sub):
-        return _lower(node.left, cutoff) - _lower(node.right, cutoff)
-    if isinstance(node, Mul):
-        return _lower(node.left, cutoff) * _lower(node.right, cutoff)
+        return -lower(node.operand, cutoff)
+    if type(node) in _RING_OPS:
+        return _RING_OPS[type(node)](lower(node.left, cutoff), lower(node.right, cutoff))
     if isinstance(node, Div):
-        divisor = _lower(node.right, cutoff)
+        divisor = lower(node.right, cutoff)
         scalar = _as_scalar(divisor)
         if scalar is None:
             raise LoweringError(f"division is only defined by complex scalars, got {divisor!r}")
         if scalar == 0:
             raise LoweringError("division by zero")
-        return _lower(node.left, cutoff) * (1.0 / scalar)
+        return lower(node.left, cutoff) * (1.0 / scalar)
     if isinstance(node, Pow):
-        base = _lower(node.base, cutoff)
+        base = lower(node.base, cutoff)
         scalar = _as_scalar(base)
         if scalar is not None:
             return OperatorPoly.scalar(_scalar_power(scalar, node.exponent))
@@ -394,7 +384,7 @@ def _lower(node, cutoff: Cutoff | None) -> OperatorPoly:
             _check_power(base, node.exponent, cutoff)
         return base**node.exponent
     if isinstance(node, Paren):
-        return _lower(node.inner, cutoff)
+        return lower(node.inner, cutoff)
     raise TypeError(f"not an operator-expression node: {node!r}")
 
 
@@ -408,7 +398,7 @@ def _check_power(base: OperatorPoly, exponent: int, cutoff: Cutoff) -> None:
     exponent is large.  Only an expression that cancels the power again,
     such as a^3 - a^3 or 0*a^3, is refused here rather than evaluated to 0,
     and the guard comes before Var's Hermiticity check.  A scalar base never
-    gets here: _lower takes its power directly.
+    gets here: lower takes its power directly.
     """
     for m, n, p, q in base.terms:
         algebra._check_power_guard(exponent * (m + n), exponent * (p + q), cutoff)
@@ -447,7 +437,7 @@ def evaluate(node, rho: State):
     Returns a complex number for value queries and a CompareResult for
     comparisons.  Comparisons are evaluated on the real parts after
     checking the imaginary parts are negligible, with the witnesses' rule
-    criteria.fires: lhs < rhs only when it fires, so a state that saturates
+    fock.fires: lhs < rhs only when it fires, so a state that saturates
     a bound holds it whatever the round-off.
     A value or a side of a comparison that overflows is a LoweringError.
     """
@@ -469,9 +459,9 @@ def _evaluate_value(node, rho: State) -> complex:
     if isinstance(node, Paren):
         return _evaluate_value(node.inner, rho)
     if isinstance(node, EQuery):
-        return expectation_poly(rho, _lower(node.expr, rho.cutoff))
+        return expectation_poly(rho, lower(node.expr, rho.cutoff))
     if isinstance(node, VarQuery):
-        poly = _lower(node.expr, rho.cutoff)
+        poly = lower(node.expr, rho.cutoff)
         if not poly.is_hermitian():
             raise LoweringError(f"Var requires a Hermitian operator, got {poly!r}")
         return complex(variance(rho, poly))
@@ -480,12 +470,8 @@ def _evaluate_value(node, rho: State) -> complex:
     if isinstance(node, (Add, Sub, Mul, Div)):
         left = _evaluate_value(node.left, rho)
         right = _evaluate_value(node.right, rho)
-        if isinstance(node, Add):
-            return left + right
-        if isinstance(node, Sub):
-            return left - right
-        if isinstance(node, Mul):
-            return left * right
+        if type(node) in _RING_OPS:
+            return _RING_OPS[type(node)](left, right)
         if right == 0:
             raise LoweringError("division by zero in query arithmetic")
         return left / right

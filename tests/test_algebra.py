@@ -28,7 +28,7 @@ from entcert import (
     su11_pt_witness,
     variance,
 )
-from entcert.algebra import A, AD, B, BD, IDENTITY_MONO, ONE, QUADRATURES
+from entcert.algebra import A, AD, B, BD, HERMITIAN_TOL, IDENTITY_MONO, ONE, QUADRATURES
 
 from conftest import random_bell_params, random_density, word_matrix
 
@@ -139,6 +139,15 @@ class TestAdjoint:
         for _ in range(20):
             poly = _random_poly(rng)
             assert poly.adjoint().adjoint() == poly
+
+    def test_is_hermitian_up_to_a_fixed_gap(self):
+        s_x = (AD * B + A * BD) * 0.5
+        assert s_x.is_hermitian()
+        assert not (AD * B).is_hermitian()
+        near = s_x + OperatorPoly({Monomial(1, 0, 0, 1): HERMITIAN_TOL / 2})
+        assert near.is_hermitian()
+        far = s_x + OperatorPoly({Monomial(1, 0, 0, 1): 4 * HERMITIAN_TOL})
+        assert not far.is_hermitian()
 
     def test_matches_dense_adjoint(self, rng):
         c = Cutoff(7, 7)

@@ -23,6 +23,7 @@ from entcert import (
     su11_pt_witness,
     two_mode_squeezed_vacuum,
 )
+from entcert import fock
 from entcert.criteria import BUILTIN_OPERATORS, DETECTION_MARGIN, fires
 from entcert.dsl import evaluate_text
 
@@ -53,6 +54,9 @@ class TestVerdictRule:
     )
     def test_fires_only_past_the_margin(self, lhs, bound, fired):
         assert fires(lhs, bound) is fired
+
+    def test_rule_lives_in_fock_and_is_read_through_criteria(self):
+        assert fires is fock.fires and DETECTION_MARGIN == fock.DETECTION_MARGIN == fock.TOL_PSD
 
     @pytest.mark.parametrize("lhs", ["1", "1 - 1e-10", "1 - 3e-10", "1 + 1e-10"])
     def test_dsl_comparisons_follow_the_rule(self, vacuum, lhs):

@@ -6,7 +6,8 @@ import pytest
 from entcert import Cutoff, LexError, Monomial, OperatorPoly, ParseError, PowerGuardError
 from entcert import bell_xp_state
 from entcert import density_from_pure, product_coherent
-from entcert.algebra import A, AD, B, BD, IDENTITY_MONO
+from entcert import dsl
+from entcert.algebra import A, AD, B, BD, IDENTITY_MONO, ONE, QUADRATURES, quadrature_poly
 from entcert.criteria import BUILTIN_OPERATORS, BUILTIN_QUERIES
 from entcert.dsl import (
     Add,
@@ -30,6 +31,24 @@ from entcert.dsl import (
 )
 
 SQRT_HALF = 2.0**-0.5
+
+# Each builtin operator built by hand from the elementary polynomials,
+# independently of the parser and the lowering pass: the exact oracle for
+# the polynomials criteria lowers from the DSL text.
+_XA, _PA, _XB, _PB = (QUADRATURES[s] for s in ("xa", "pa", "xb", "pb"))
+HAND_BUILT = {
+    "S_x": (AD * B + A * BD) * 0.5,
+    "S_y": (AD * B - A * BD) * (1.0 / 2j),
+    "S_z": (AD * A - BD * B) * 0.5,
+    "K_x": (AD * BD + A * B) * 0.5,
+    "K_y": (AD * BD - A * B) * (1.0 / 2j),
+    "K_z": (AD * A + BD * B + ONE) * 0.5,
+    "K_x_quad": (_XA * _XB - _PA * _PB) * 0.5,
+    "K_y_quad": -(_XA * _PB + _PA * _XB) * 0.5,
+    "K_z_quad": (_XA**2 + _PA**2 + _XB**2 + _PB**2) * 0.25,
+    "u_sum": quadrature_poly({"xa": 1.0, "xb": 1.0}),
+    "v_diff": quadrature_poly({"pa": 1.0, "pb": -1.0}),
+}
 
 
 @pytest.fixture
@@ -176,10 +195,11 @@ class TestLowering:
             lower(parse_operator("a/0"))
 
     def test_builtins_lower_to_hardcoded_polys_exactly(self):
+        assert set(BUILTIN_OPERATORS) == set(HAND_BUILT)
         for name, (poly, text) in BUILTIN_OPERATORS.items():
             lowered = lower(parse_operator(text))
-            assert lowered == poly, name
-            assert lowered.terms == poly.terms, name  # exact canonical form
+            assert lowered.terms == HAND_BUILT[name].terms, name  # exact canonical form
+            assert poly.terms == HAND_BUILT[name].terms, name
 
     def test_power_lowering(self):
         assert lower(parse_operator("a^2")) == A * A
@@ -189,6 +209,23 @@ class TestLowering:
 
     def test_power_past_any_cutoff_lowers_without_a_state(self):
         assert lower(parse_operator("a^40")) == OperatorPoly({Monomial(0, 40, 0, 0): 1.0})
+
+    def test_power_past_the_given_cutoff_is_refused(self):
+        with pytest.raises(PowerGuardError, match=r"\(a:40, b:0\)"):
+            lower(parse_operator("a^40"), Cutoff(3, 3))
+        assert lower(parse_operator("a^2"), Cutoff(3, 3)) == A * A
+
+    def test_evaluate_lowers_through_the_public_lower(self, monkeypatch):
+        calls = []
+
+        def counting(node, cutoff=None):
+            calls.append(cutoff)
+            return lower(node, cutoff)
+
+        monkeypatch.setattr(dsl, "lower", counting)
+        psi = bell_xp_state(1.0, 0.0, Cutoff(3, 3))
+        assert evaluate_text("E[ad*a]", psi) == 1.0
+        assert calls and calls[0] == Cutoff(3, 3)
 
 
 class TestPowerGuard:

@@ -20,6 +20,7 @@ from entcert import (
     partial_transpose_matrix,
 )
 from entcert.algebra import QUADRATURES
+from entcert.fock import check_hermitian
 
 from conftest import random_density
 
@@ -154,12 +155,47 @@ class TestHermitianEigenvalues:
         with pytest.raises(HermiticityError):
             hermitian_eigenvalues(mat)
 
+    def test_rejects_nan(self):
+        mat = np.eye(3, dtype=complex)
+        mat[1, 1] = np.nan
+        with pytest.raises(HermiticityError, match="nan"):
+            hermitian_eigenvalues(mat)
+
     def test_density_spectrum_is_physical(self, rng):
         c = Cutoff(3, 4)
         for _ in range(10):
             eigs = hermitian_eigenvalues(random_density(rng, c).entries)
             assert eigs.min() >= -1e-10
             assert abs(eigs.sum() - 1.0) < 1e-10
+
+
+class TestCheckHermitian:
+    @staticmethod
+    def _passes(mat, tol):
+        try:
+            check_hermitian(mat, tol, "matrix")
+        except HermiticityError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("n", [4, 144, 300])
+    def test_blocks_find_the_whole_matrix_defect_exactly(self, rng, n):
+        # 300 rows make several blocks, the last one short.  The check passes
+        # at the whole-matrix defect and fails one float below it.
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        herm = mat + mat.conj().T
+        herm[n - 1, 0] += 1e-9
+        for m in (mat, herm):
+            defect = float(np.max(np.abs(m - m.conj().T)))
+            assert self._passes(m, defect)
+            assert not self._passes(m, np.nextafter(defect, 0.0))
+
+    @pytest.mark.parametrize("k", [0, 150, 299])
+    def test_nan_in_any_block_fails(self, k):
+        mat = np.eye(300, dtype=complex)
+        mat[k, k] = np.nan
+        with pytest.raises(HermiticityError, match="defect nan"):
+            check_hermitian(mat, 1.0, "matrix")
 
 
 class TestExpectation:
@@ -214,6 +250,15 @@ class TestStateTypes:
         mat[0, 1] = 0.5
         with pytest.raises(HermiticityError):
             DensityOperator(mat, c)
+
+    def test_pure_state_rejects_nan_amplitudes(self):
+        amps = np.array([1.0, 0.0, 0.0, np.nan])
+        with pytest.raises(NormalizationError, match="nan"):
+            PureState(amps, Cutoff(2, 2))
+
+    def test_density_rejects_nan_matrix(self):
+        with pytest.raises(HermiticityError, match="nan"):
+            DensityOperator(np.full((4, 4), np.nan, dtype=complex), Cutoff(2, 2))
 
     def test_density_requires_unit_trace(self):
         c = Cutoff(2, 2)

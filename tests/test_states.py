@@ -11,6 +11,7 @@ from entcert import (
     DimensionError,
     NormalizationError,
     TruncationError,
+    bell_closed_forms,
     bell_xp_state,
     density_from_pure,
     embed,
@@ -19,10 +20,12 @@ from entcert import (
     product_coherent,
     two_mode_squeezed_vacuum,
 )
+from entcert.states import _DENSITY_MATRICES_HELD
 
 from conftest import random_bell_params, word_matrix
 
 SQRT_HALF = 2.0**-0.5
+NAN = float("nan")
 
 
 class TestBellState:
@@ -56,6 +59,14 @@ class TestBellState:
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
             bell_xp_state(1.0, 1.0, Cutoff(2, 2))
+
+    @pytest.mark.parametrize("alpha, beta", [(NAN, 0.0), (1.0, complex("nan")), (NAN, NAN)])
+    def test_rejects_nan_weights(self, alpha, beta):
+        # The state and its closed forms share one check, which NaN fails.
+        with pytest.raises(NormalizationError, match="nan"):
+            bell_xp_state(alpha, beta, Cutoff(2, 2))
+        with pytest.raises(NormalizationError, match="nan"):
+            bell_closed_forms(alpha, beta)
 
     def test_global_phase_invariance(self, rng):
         c = Cutoff(3, 3)
@@ -110,6 +121,11 @@ class TestTmsv:
         rebuilt = raw / np.linalg.norm(raw)
         for n in range(10):
             assert psi.amplitude(n, n) == pytest.approx(rebuilt[n], abs=1e-14)
+
+    @pytest.mark.parametrize("r, phi", [(NAN, 0.0), (0.3, NAN), (NAN, NAN)])
+    def test_nan_parameters_fail_tolerance(self, r, phi):
+        with pytest.raises(TruncationError, match="keeps only nan"):
+            two_mode_squeezed_vacuum(r, phi, Cutoff(4, 4))
 
     @pytest.mark.parametrize("r", [711.0, 800.0, 1e6])
     def test_large_squeezing_fails_tolerance_without_overflow(self, r):
@@ -205,6 +221,11 @@ class TestProductCoherent:
         with pytest.raises(TruncationError):
             product_coherent(3.0, 0.0, Cutoff(4, 4))
 
+    @pytest.mark.parametrize("alpha_a, alpha_b", [(complex("nan"), 0.5), (0.5, NAN)])
+    def test_nan_amplitude_fails_tolerance(self, alpha_a, alpha_b):
+        with pytest.raises(TruncationError, match="keeps only nan"):
+            product_coherent(alpha_a, alpha_b, Cutoff(6, 6))
+
 
 class TestDensityFromPure:
     def test_vacuum_projector(self):
@@ -214,6 +235,21 @@ class TestDensityFromPure:
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0
         assert np.array_equal(rho.entries, expected)
+
+    @pytest.mark.parametrize("d", [20, 30])
+    def test_peak_memory_is_about_two_matrices(self, d):
+        # The outer product and its read-only copy; the Hermiticity check
+        # works a block of rows at a time, so it adds no full-size temporary.
+        psi, _ = two_mode_squeezed_vacuum(0.3, 0.0, Cutoff(d, d))
+        matrix_bytes = np.dtype(complex).itemsize * (d * d) ** 2
+        tracemalloc.start()
+        try:
+            density_from_pure(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * matrix_bytes
+        assert peak < _DENSITY_MATRICES_HELD * matrix_bytes
 
     def test_bell_density_structure(self):
         c = Cutoff(2, 2)
