@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import HermiticityError, PowerGuardError
-from .fock import Cutoff, DensityOperator, State
+from .fock import Cutoff, DensityOperator, State, first_of
 
 SQRT2 = math.sqrt(2.0)
 HERMITIAN_TOL = 1e-12  # largest coefficient gap to the adjoint that is_hermitian allows
@@ -247,8 +247,19 @@ _CHUNK_FLOOR = 1 << 14
 _RECTANGLE_MAX_SHIFTS = 25
 
 
+def rows_per_batch(cutoff: Cutoff, shifts: int) -> int:
+    """Rows of a batched PureState whose Gram stack over this many shifts
+    fits in _CHUNK_FLOOR entries, and at least one: a batch no larger keeps
+    its stack inside the floor, or, past it, at the chunked stack of one row."""
+    return max(1, _CHUNK_FLOOR // (shifts * cutoff.dim))
+
+
 def _gram(state: State, shifts: tuple) -> np.ndarray:
-    """G[i, j] = <a^s_i b^t_i psi, a^s_j b^t_j psi> over the shifts (s, t).
+    """G[..., i, j] = <a^s_i b^t_i psi, a^s_j b^t_j psi> over the shifts (s, t).
+
+    A batched PureState gives one table per row, shape (*batch, shifts,
+    shifts), from one stacked product per chunk; a row's stack is as large
+    as that of the row alone, so the caller sizes the batch (rows_per_batch).
 
     a^s b^t psi is the grid shifted by (s, t) and weighted by
     w_s(k_a) w_t(k_b), zero-padded to d_a x d_b; the padding drops exactly
@@ -268,9 +279,12 @@ def _gram(state: State, shifts: tuple) -> np.ndarray:
     size = d_a * d_b
     count = len(shifts)
     mixed = isinstance(state, DensityOperator)
+    batch = () if mixed else state.amplitudes.shape[:-1]
     # A chunk of the density gather holds shifts^2 entries per flat index.
+    # The chunk does not depend on the batch, so a row of a batch sums its
+    # entries in the same chunks, and to the same bits, as that row alone.
     chunk = max(size, _CHUNK_FLOOR) // (count * count if mixed else count)
-    gram = np.zeros((count, count), dtype=complex)
+    gram = np.zeros((*batch, count, count), dtype=complex)
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
         flat = np.arange(start, stop)
@@ -283,18 +297,18 @@ def _gram(state: State, shifts: tuple) -> np.ndarray:
             gram += np.einsum("ik,jk,ijk->ij", weight, weight, state.entries[index, index[:, None]])
             continue
         del flat, row, col
-        stack = np.zeros((count, stop - start), dtype=complex)
+        stack = np.zeros((*batch, count, stop - start), dtype=complex)
         for k, (s, t) in enumerate(shifts):
             offset = s * d_b + t
             length = min(stop, size - offset) - start
             if length > 0:
-                shifted = state.amplitudes[start + offset : start + offset + length]
-                np.multiply(weight_a[s][:length], shifted, out=stack[k, :length])
-                stack[k, :length] *= weight_b[t][:length]
+                shifted = state.amplitudes[..., start + offset : start + offset + length]
+                np.multiply(weight_a[s][:length], shifted, out=stack[..., k, :length])
+                stack[..., k, :length] *= weight_b[t][:length]
         # The product holds the stack twice, so the weights go before it and
         # the stack after it, before the next chunk allocates its own.
         del weight_a, weight_b
-        gram += stack.conj() @ stack.T
+        gram += stack.conj() @ stack.swapaxes(-1, -2)
         del stack
     return gram
 
@@ -331,7 +345,13 @@ def _fill_moments(state: State, mono: Monomial, monos: Iterable[Monomial]) -> No
         m, n, p, q = mono
         shifts = tuple(sorted({(m, p), (n, q)}))
     keys, index = _gram_layout(shifts, d_a, d_b)
-    values = _gram(state, shifts).ravel()[index].tolist()
+    gram = _gram(state, shifts)
+    # One value per monomial: a Python complex for a single state, so sums
+    # over them stay Python arithmetic, and a read-only array over the rows
+    # for a batch.
+    values = gram.reshape(*gram.shape[:-2], -1)[..., index]
+    values.setflags(write=False)
+    values = values.tolist() if values.ndim == 1 else [values[..., k] for k in range(len(keys))]
     memo = state._moments
     memo.update({key: value for key, value in zip(keys, values) if key not in memo})
 
@@ -348,7 +368,10 @@ def moment(rho: State, mono: Monomial) -> complex:
 
 
 def expectation_poly(rho: State, poly: OperatorPoly) -> complex:
-    """<poly> on rho, as the coefficient-weighted sum of monomial moments.
+    """<poly> on rho, as the coefficient-weighted sum of monomial moments;
+    an array of shape batch on a batched PureState.  Each entry equals the
+    row alone bit for bit when every coefficient is real or imaginary, as
+    in every witness polynomial; see _product for the others.
 
     The state's memo is read first; the first monomial it lacks passes the
     power guard and then fills the memo, in one Gram product, for every
@@ -366,6 +389,23 @@ def expectation_poly(rho: State, poly: OperatorPoly) -> complex:
     return total
 
 
+def _product(c, z):
+    """c * z as Python multiplies complex numbers, for scalars and arrays alike.
+
+    numpy's vectorized complex multiply may fuse a multiply and an add,
+    which would make a row of a batch differ in its last bit from the same
+    state evaluated alone; real multiplies and adds round as Python does.
+    (With one part of c zero, as in every witness coefficient, the other
+    part's product is an exact zero and both multiplies agree.)
+    """
+    return (c.real * z.real - c.imag * z.imag) + 1j * (c.real * z.imag + c.imag * z.real)
+
+
+def central_second(second, mean):
+    """second - mean^2, rounded alike for a single state and each row of a batch."""
+    return second - _product(mean, mean)
+
+
 @lru_cache(maxsize=128)
 def _square(poly: OperatorPoly) -> OperatorPoly:
     """poly * poly once poly is checked Hermitian; bounded, since callers may
@@ -379,15 +419,16 @@ def variance(rho: State, poly: OperatorPoly) -> float:
     """<poly^2> - <poly>^2 for a Hermitian polynomial; clamps tiny negatives.
 
     On a physical state the result is nonnegative; values below -1e-10
-    indicate a non-positive input matrix and raise.  The square is
-    evaluated first, so one memo fill serves both.
+    indicate a non-positive input matrix and raise, in any row of a batch.
+    The square is evaluated first, so one memo fill serves both.
     """
     second = expectation_poly(rho, _square(poly))
     mean = expectation_poly(rho, poly)
-    value = (second - mean * mean).real
-    if value < -1e-10:
+    value = central_second(second, mean).real
+    negative = value < -1e-10
+    if np.count_nonzero(negative):
         raise ValueError(
-            f"variance {value:.3e} is negative beyond tolerance; "
+            f"variance {first_of(value, negative):.3e} is negative beyond tolerance; "
             "the input matrix is not a physical state"
         )
-    return max(value, 0.0)
+    return np.maximum(value, 0.0)

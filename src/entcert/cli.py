@@ -37,6 +37,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import criteria, dsl, states
+from .algebra import rows_per_batch
 from .errors import DslError, EntcertError, ParseError
 from .fock import Cutoff, check_physical_memory
 from .states import DEFAULT_TRUNC_TOL, TruncationReport
@@ -252,54 +253,79 @@ def cmd_evaluate(config_path: str, cutoff_override=None, tol_override=None) -> i
 
 # -- sweep --------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+# Shifts in the Gram table of the sweep's witnesses: their polynomials hold
+# ladder powers 0..2 per mode, a 3x3 rectangle, so one row's stack is nine grids.
+_SWEEP_SHIFTS = 9
 
-
-def _fmt_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+# A CSV row: sixteen numbers to 17 significant digits, then five verdicts.
+_ROW_FORMAT = ",".join(["%.17g"] * 16 + ["%s"] * 5) + "\n"
 
 
 def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float]):
+    """CSV lines of the rows, theta outer; each witness runs once per block
+    of rows, on one batched state, and the rows are then only formatted."""
     thetas = np.linspace(0.0, np.pi / 2.0, n_theta)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    for theta in thetas:
-        for phi_r in phis:
-            alpha = math.cos(theta) * complex(math.cos(phi_r), math.sin(phi_r))
-            beta = complex(math.sin(theta))
-            psi = states.bell_xp_state(alpha, beta, cutoff)
-            mancini = criteria.mancini_witness(psi)
-            var_u, var_v = mancini.quantities["var_u"], mancini.quantities["var_v"]
-            su2 = criteria.su2_pt_witness(psi)
-            su11 = criteria.su11_pt_witness(psi, "ladder")
-            ppt = criteria.ppt_witness(psi)
-            closed = criteria.bell_closed_forms(alpha, beta, 1.0)
-            duan_detected = any(
-                criteria.duan_witness(psi, m).entangled_detected for m in m_values
+    grid = [
+        (
+            theta,
+            phi_r,
+            math.cos(theta) * complex(math.cos(phi_r), math.sin(phi_r)),
+            complex(math.sin(theta)),
+        )
+        for theta in thetas
+        for phi_r in phis
+    ]
+    block = rows_per_batch(cutoff, _SWEEP_SHIFTS)
+    for start in range(0, len(grid), block):
+        block_thetas, block_phis, alphas, betas = zip(*grid[start : start + block])
+        psi = states.bell_xp_state(alphas, betas, cutoff)
+        mancini = criteria.mancini_witness(psi)
+        var_u, var_v = mancini.quantities["var_u"], mancini.quantities["var_v"]
+        su2 = criteria.su2_pt_witness(psi)
+        su11 = criteria.su11_pt_witness(psi, "ladder")
+        ppt = criteria.ppt_witness(psi)
+        duan_detected = np.logical_or.reduce(
+            [criteria.duan_witness(psi, m).entangled_detected for m in m_values]
+        )
+        numbers = [
+            block_thetas,
+            block_phis,
+            [alpha.real for alpha in alphas],
+            [alpha.imag for alpha in alphas],
+            [beta.real for beta in betas],
+            [beta.imag for beta in betas],
+            *(
+                column.tolist()
+                for column in (
+                    var_u + var_v,
+                    var_u - var_v,
+                    mancini.quantities["M_x"],
+                    su2.quantities["lhs"],
+                    su2.quantities["rhs"],
+                    su11.quantities["lhs"],
+                    su11.quantities["rhs"],
+                )
+            ),
+            [
+                criteria.bell_closed_forms(alpha, beta, 1.0)["su11_reduced"]
+                for alpha, beta in zip(alphas, betas)
+            ],
+            ppt.quantities["min_eigenvalue"].tolist(),
+            ppt.quantities["negativity"].tolist(),
+        ]
+        verdicts = [
+            np.where(detected, "true", "false").tolist()
+            for detected in (
+                mancini.entangled_detected,
+                duan_detected,
+                su2.entangled_detected,
+                su11.entangled_detected,
+                ppt.entangled_detected,
             )
-            yield (
-                _fmt(theta),
-                _fmt(phi_r),
-                _fmt(alpha.real),
-                _fmt(alpha.imag),
-                _fmt(beta.real),
-                _fmt(beta.imag),
-                _fmt(var_u + var_v),
-                _fmt(var_u - var_v),
-                _fmt(mancini.quantities["M_x"]),
-                _fmt(su2.quantities["lhs"]),
-                _fmt(su2.quantities["rhs"]),
-                _fmt(su11.quantities["lhs"]),
-                _fmt(su11.quantities["rhs"]),
-                _fmt(closed["su11_reduced"]),
-                _fmt(ppt.quantities["min_eigenvalue"]),
-                _fmt(ppt.quantities["negativity"]),
-                _fmt_bool(mancini.entangled_detected),
-                _fmt_bool(duan_detected),
-                _fmt_bool(su2.entangled_detected),
-                _fmt_bool(su11.entangled_detected),
-                _fmt_bool(ppt.entangled_detected),
-            )
+        ]
+        for row in zip(*numbers, *verdicts):
+            yield _ROW_FORMAT % row
 
 
 def cmd_sweep(config_path: str, output_path: str, cutoff_override=None) -> int:
@@ -327,8 +353,7 @@ def cmd_sweep(config_path: str, output_path: str, cutoff_override=None) -> int:
     try:
         with open(tmp_path, "w", encoding="ascii", newline="") as handle:
             handle.write(_SWEEP_COLUMNS + "\n")
-            for row in rows:
-                handle.write(",".join(row) + "\n")
+            handle.writelines(rows)
         os.replace(tmp_path, output_path)
     except OSError as exc:
         print(f"io: cannot write {output_path}: {exc.strerror or exc}", file=sys.stderr)

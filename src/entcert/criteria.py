@@ -25,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import OperatorPoly, expectation_poly, quadrature_poly, variance
+from .algebra import OperatorPoly, central_second, expectation_poly, quadrature_poly, variance
 from .dsl import lower, parse_operator
-from .fock import PureState, State, hermitian_eigenvalues, partial_transpose_b
+from .fock import PureState, State, first_of, partial_transpose_b
 # The verdict rule lives in fock; witness callers also read it from here.
 from .fock import DETECTION_MARGIN, fires  # noqa: F401
 from .states import bell_coefficients
@@ -37,7 +37,12 @@ _REAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Outcome of one witness on one state; the bound holds iff nothing was detected."""
+    """Outcome of one witness on one state; the bound holds iff nothing was detected.
+
+    On a batched PureState each quantity and verdict is an array over the
+    batch.  On a single state they are Python numbers: numpy scalars that
+    the shared element-wise steps return are converted here.
+    """
 
     name: str
     quantities: dict[str, float] = field(default_factory=dict)
@@ -46,12 +51,27 @@ class CriterionReport:
     conventions: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "separable_bound_holds", not self.entangled_detected)
+        for key, value in self.quantities.items():
+            if isinstance(value, np.generic):
+                self.quantities[key] = value.item()
+        detected = self.entangled_detected
+        if isinstance(detected, np.generic):
+            detected = detected.item()
+            object.__setattr__(self, "entangled_detected", detected)
+        object.__setattr__(self, "separable_bound_holds", detected ^ True)  # not, element-wise
+
+
+def _abs(value):
+    """|value| as Python's abs(complex) computes it, for scalars and arrays alike
+    (numpy's vectorized complex modulus rounds differently)."""
+    return np.hypot(value.real, value.imag)
 
 
 def _real(value: complex, label: str) -> float:
-    if abs(value.imag) > _REAL_TOL * max(1.0, abs(value)):
-        raise ValueError(f"{label} should be real, got {value!r}")
+    """value.real once every entry's imaginary part is round-off."""
+    bad = abs(value.imag) > _REAL_TOL * np.maximum(1.0, _abs(value))
+    if np.count_nonzero(bad):
+        raise ValueError(f"{label} should be real, got {complex(first_of(value, bad))!r}")
     return value.real
 
 
@@ -74,7 +94,7 @@ def mancini_witness(rho: State) -> CriterionReport:
             "M_x": m_x,
             "var_u": var_u,
             "var_v": var_v,
-            "stddev_product_normalized": math.sqrt(m_x) / 2.0,
+            "stddev_product_normalized": np.sqrt(m_x) / 2.0,
             "bound_M_x": 1.0,
             "bound_stddev_product": 0.5,
         },
@@ -175,10 +195,11 @@ def _pt_uncertainty_report(rho: State, triple, name: str, conventions: str) -> C
     for (mean_poly, square_poly), which in zip(pairs, ("first", "second")):
         second = expectation_poly(rho, square_poly)
         mean = expectation_poly(rho, mean_poly)
-        brackets.append(_real(second - mean * mean, f"{which} uncertainty bracket"))
+        brackets.append(_real(central_second(second, mean), f"{which} uncertainty bracket"))
     bracket1, bracket2 = brackets
     lhs = bracket1 * bracket2
-    rhs = abs(expectation_poly(rho, z)) ** 2
+    # float_power is the C pow that Python's ** calls; numpy's ** squares.
+    rhs = np.float_power(_abs(expectation_poly(rho, z)), 2.0)
     return CriterionReport(
         name=name,
         quantities={"lhs": lhs, "rhs": rhs, "bracket1": bracket1, "bracket2": bracket2},
@@ -238,14 +259,21 @@ def ppt_witness(rho: State) -> CriterionReport:
     s_1 >= s_2 >= ... (the singular values of the amplitude grid): it is
     {s_i^2} and {+-s_i s_j, i < j} padded with zeros, so the minimum is
     -s_1 s_2 and the negativity is sum_{i<j} s_i s_j (Vidal & Werner,
-    PRA 65, 032314).  A density operator takes the dense eigensolve.
+    PRA 65, 032314).  A batch takes one stacked singular-value solve and
+    the same per-row sums.  A density operator takes the dense eigensolve;
+    partial_transpose_b has checked its Hermiticity.
     """
     if isinstance(rho, PureState):
         s = np.linalg.svd(rho.grid, compute_uv=False)
-        min_eig = float(-s[0] * s[1]) + 0.0  # +0.0 avoids "-0.0"
-        negativity = float(s[1:] @ np.cumsum(s)[:-1])
+        min_eig = -s[..., 0] * s[..., 1] + 0.0  # +0.0 avoids "-0.0"
+        # One dot per row, as a single state takes it: a stacked product may
+        # sum in another order.
+        rows = s.reshape(-1, s.shape[-1])
+        partial = np.cumsum(rows, axis=-1)
+        negativity = np.fromiter(map(np.dot, rows[:, 1:], partial[:, :-1]), float, len(rows))
+        negativity = negativity.reshape(s.shape[:-1])[()]
     else:
-        eigs = hermitian_eigenvalues(partial_transpose_b(rho).entries)
+        eigs = np.linalg.eigvalsh(partial_transpose_b(rho).entries)
         min_eig = float(eigs[0])
         negativity = float(-np.sum(eigs[eigs < 0.0])) + 0.0
     return CriterionReport(
@@ -267,6 +295,8 @@ def bell_closed_forms(alpha: complex, beta: complex, m: float = 1.0) -> dict:
     """
     if m == 0:
         raise ValueError("gain m must be nonzero")
+    if not math.isfinite(m):
+        raise ValueError(f"gain m must be finite, got {m!r}")
     alpha, beta = bell_coefficients(alpha, beta)
     overlap = alpha.conjugate() * beta
     m2 = m * m

@@ -24,7 +24,8 @@ DETECTION_MARGIN = TOL_PSD
 
 
 def fires(lhs: float, bound: float) -> bool:
-    """The one verdict rule: lhs is below the separable bound by more than DETECTION_MARGIN."""
+    """The one verdict rule: lhs is below the separable bound by more than
+    DETECTION_MARGIN; element-wise on the arrays of a batch."""
     return lhs < bound - DETECTION_MARGIN
 
 
@@ -52,6 +53,12 @@ class Cutoff:
         return n_a * self.d_b + n_b
 
 
+def first_of(values, mask):
+    """The first entry of values where mask holds, for an error message; a
+    scalar counts as an array of one."""
+    return np.asarray(values)[np.asarray(mask)][0]
+
+
 def _frozen_copy(values) -> np.ndarray:
     """Private read-only complex copy, so no caller can change a state after the fact."""
     arr = np.array(values, dtype=complex)
@@ -61,12 +68,16 @@ def _frozen_copy(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized amplitude vector over the joint truncated basis.
+    """Normalized amplitude vector over the joint truncated basis, or a batch of them.
 
-    The amplitudes are a read-only copy of the constructor's input, which
-    is what makes the per-state moment memo sound.  algebra fills
-    ``_moments`` (monomial -> moment) from Gram products of weighted shifts
-    of the grid.  States compare and hash by identity.
+    ``amplitudes`` has shape ``(*batch, d_a*d_b)``: a 1-D vector is one
+    state, and leading axes hold a batch whose rows are normalized one by
+    one.  Moments and witnesses of a batch are arrays of shape ``batch``,
+    each entry equal to the same quantity of that row built alone.  The
+    amplitudes are a read-only copy of the constructor's input, which is
+    what makes the per-state moment memo sound.  algebra fills ``_moments``
+    (monomial -> moment) from Gram products of weighted shifts of the grid.
+    States compare and hash by identity.
     """
 
     amplitudes: np.ndarray
@@ -76,21 +87,29 @@ class PureState:
     def __post_init__(self):
         amps = _frozen_copy(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.cutoff.dim,):
+        if amps.ndim == 0 or amps.shape[-1] != self.cutoff.dim:
             raise DimensionError(
-                f"amplitude vector has shape {amps.shape}, expected ({self.cutoff.dim},)"
+                f"amplitude vector has shape {amps.shape}, expected (*batch, {self.cutoff.dim})"
             )
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= TOL_NORM:  # a NaN norm fails too
-            raise NormalizationError(f"state norm {norm!r} differs from 1 beyond {TOL_NORM}")
+        # Sum of squares of the (re, im) pairs, row by row, without a temporary
+        # as large as the amplitudes.
+        pairs = amps.view(float)
+        norm = np.sqrt(np.einsum("...k,...k->...", pairs, pairs))
+        bad = np.logical_not(abs(norm - 1.0) <= TOL_NORM)  # a NaN norm fails too
+        if np.count_nonzero(bad):
+            raise NormalizationError(
+                f"state norm {first_of(norm, bad)!r} differs from 1 beyond {TOL_NORM}"
+            )
 
     def amplitude(self, n_a: int, n_b: int) -> complex:
+        """<n_a, n_b|psi> of an unbatched state."""
         return complex(self.amplitudes[self.cutoff.index(n_a, n_b)])
 
     @property
     def grid(self) -> np.ndarray:
-        """Amplitudes as a read-only d_a x d_b array indexed [n_a, n_b]."""
-        return self.amplitudes.reshape(self.cutoff.d_a, self.cutoff.d_b)
+        """Amplitudes as a read-only (*batch, d_a, d_b) array indexed [..., n_a, n_b]."""
+        batch = self.amplitudes.shape[:-1]
+        return self.amplitudes.reshape(*batch, self.cutoff.d_a, self.cutoff.d_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +151,11 @@ def check_hermitian(mat: np.ndarray, tol: float, subject: str) -> None:
     block of rows at a time, so no temporary as large as the square M exists."""
     rows = max(1, _HERM_BLOCK // mat.shape[0])
     defect = 0.0
-    for start in range(0, mat.shape[0], rows):
-        block = mat[start : start + rows] - mat[:, start : start + rows].conj().T
-        defect = np.maximum(defect, np.max(np.abs(block)))  # keeps a NaN
+    # An infinite entry makes inf - inf, a NaN that fails the check below.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, mat.shape[0], rows):
+            block = mat[start : start + rows] - mat[:, start : start + rows].conj().T
+            defect = np.maximum(defect, np.max(np.abs(block)))  # keeps a NaN
     if not defect <= tol:
         raise HermiticityError(f"{subject} Hermiticity defect {defect:.3e} exceeds {tol:.3g}")
 

@@ -7,13 +7,14 @@ renormalize silently past tolerance: if the kept weight falls below
 1 - trunc_tol they raise TruncationError instead.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, NormalizationError, TruncationError
-from .fock import TOL_NORM, Cutoff, DensityOperator, PureState, check_physical_memory
+from .errors import DegenerateStateError, DimensionError, NormalizationError, TruncationError
+from .fock import TOL_NORM, Cutoff, DensityOperator, PureState, check_physical_memory, first_of
 
 DEFAULT_TRUNC_TOL = 1e-8
 
@@ -26,27 +27,44 @@ class TruncationReport:
     renormalized: bool
 
 
+def _check_bell_weight(alpha, beta) -> None:
+    """Raise NormalizationError unless |alpha|^2 + |beta|^2 = 1 in every row; NaN fails."""
+    weight = abs(alpha) ** 2 + abs(beta) ** 2
+    bad = np.logical_not(abs(weight - 1.0) <= TOL_NORM)
+    if np.count_nonzero(bad):
+        raise NormalizationError(
+            f"|alpha|^2 + |beta|^2 = {float(first_of(weight, bad))!r}, expected 1 within {TOL_NORM}"
+        )
+
+
 def bell_coefficients(alpha: complex, beta: complex) -> tuple[complex, complex]:
     """(alpha, beta) as complex numbers, once |alpha|^2 + |beta|^2 = 1 holds."""
     alpha, beta = complex(alpha), complex(beta)
-    weight = abs(alpha) ** 2 + abs(beta) ** 2
-    if not abs(weight - 1.0) <= TOL_NORM:  # a NaN weight fails too
-        raise NormalizationError(
-            f"|alpha|^2 + |beta|^2 = {weight!r}, expected 1 within {TOL_NORM}"
-        )
+    _check_bell_weight(alpha, beta)
     return alpha, beta
 
 
-def bell_xp_state(alpha: complex, beta: complex, cutoff: Cutoff) -> PureState:
+def bell_xp_state(alpha, beta, cutoff: Cutoff) -> PureState:
     """One shared excitation: alpha|1,0> + beta|0,1>, with |alpha|^2+|beta|^2 = 1.
 
-    Exact in any truncation since no mode ever holds more than one photon.
+    alpha and beta may be arrays, which broadcast to a batch of states, one
+    per row, each checked for its weight.  Exact in any truncation since no
+    mode ever holds more than one photon.
     """
-    alpha, beta = bell_coefficients(alpha, beta)
-    amps = np.zeros(cutoff.dim, dtype=complex)
-    amps[cutoff.index(1, 0)] = alpha
-    amps[cutoff.index(0, 1)] = beta
+    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    _check_bell_weight(alpha, beta)
+    amps = np.zeros(np.broadcast_shapes(alpha.shape, beta.shape) + (cutoff.dim,), dtype=complex)
+    amps[..., cutoff.index(1, 0)] = alpha
+    amps[..., cutoff.index(0, 1)] = beta
     return PureState(amps, cutoff)
+
+
+def _check_not_infinite(**params) -> None:
+    """Raise ValueError for an infinite parameter before numpy meets it, where
+    it would warn and then yield NaN; a NaN parameter fails the kept-weight check."""
+    for name, value in params.items():
+        if cmath.isinf(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _check_kept(kept: float, subject: str, cutoff: Cutoff, trunc_tol: float) -> None:
@@ -75,6 +93,7 @@ def two_mode_squeezed_vacuum(
     u = x_a + x_b and v = p_a - p_b the squeezed pair, with
     Var(u) + Var(v) = 2 e^{-2r}.
     """
+    _check_not_infinite(r=r, phi=phi)
     if r < 0:
         raise ValueError(f"squeezing magnitude must be nonnegative, got r={r}")
     levels = min(cutoff.d_a, cutoff.d_b)
@@ -102,6 +121,7 @@ def photon_subtracted_tmsv(
     the state tends to |0,0>; the phase e^{i phi} stays, so the state is the
     same vector as before the division.
     """
+    _check_not_infinite(r=r, phi=phi)
     if r < 0:
         raise ValueError(f"squeezing magnitude must be nonnegative, got r={r}")
     if r == 0:
@@ -137,6 +157,7 @@ def product_coherent(
     Poisson tail far below any tolerance used here; only the kept-weight
     check is enforced.
     """
+    _check_not_infinite(alpha_a=alpha_a, alpha_b=alpha_b)
     amps_a = _coherent_amplitudes(complex(alpha_a), cutoff.d_a)
     amps_b = _coherent_amplitudes(complex(alpha_b), cutoff.d_b)
     joint = np.kron(amps_a, amps_b)
@@ -156,6 +177,10 @@ _DENSITY_MATRICES_HELD = 3
 
 def density_from_pure(psi: PureState) -> DensityOperator:
     """Rank-one projector |psi><psi|, refused before any matrix exists if it would not fit."""
+    if psi.amplitudes.ndim != 1:
+        raise DimensionError(
+            f"density_from_pure takes one state, got a batch of shape {psi.amplitudes.shape[:-1]}"
+        )
     cutoff = psi.cutoff
     needed = _DENSITY_MATRICES_HELD * np.dtype(complex).itemsize * cutoff.dim**2
     check_physical_memory(needed, f"a {cutoff.d_a}x{cutoff.d_b} density operator", "dense matrices")

@@ -245,23 +245,27 @@ class TestSweep:
         assert not out.exists()
 
     def test_failure_mid_run_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        from entcert import criteria
+        from entcert import algebra, criteria
+        from entcert.fock import Cutoff
 
+        # At 30x30 a block holds two rows, so the six rows take three blocks,
+        # and the failure in the second comes after two rows are written.
+        assert algebra.rows_per_batch(Cutoff(30, 30), 9) == 2
         config = write_config(tmp_path, {"sweep": {"n_theta": 3, "n_phi": 2}})
         real_ppt = criteria.ppt_witness
         calls = []
 
         def failing_ppt(state):
             calls.append(state)
-            if len(calls) == 4:
+            if len(calls) == 2:
                 raise ValueError("injected failure")
             return real_ppt(state)
 
         monkeypatch.setattr(criteria, "ppt_witness", failing_ppt)
         out = tmp_path / "scan.csv"
-        assert main(["sweep", config, str(out)]) == 3
+        assert main(["sweep", config, str(out), "--cutoff", "30", "30"]) == 3
         assert capsys.readouterr().err == "numeric: injected failure\n"
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_failure_keeps_previous_output(self, tmp_path, capsys):

@@ -280,6 +280,21 @@ class TestPptWitness:
         assert report.quantities["min_eigenvalue"] >= -1e-8
         assert not report.entangled_detected
 
+    def test_density_hermiticity_checked_once(self, rng, monkeypatch):
+        # partial_transpose_b checks the transposed matrix; the eigensolve
+        # takes its entries without a second check.
+        checks = []
+        real_check = fock.check_hermitian
+
+        def counting_check(*args):
+            checks.append(args[2])
+            return real_check(*args)
+
+        rho = random_density(rng, Cutoff(4, 5))
+        monkeypatch.setattr(fock, "check_hermitian", counting_check)
+        ppt_witness(rho)
+        assert checks == ["density matrix"]
+
 
 class TestBellClosedForms:
     def test_equal_weights(self):
@@ -303,6 +318,12 @@ class TestBellClosedForms:
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
             bell_closed_forms(1.0, 1.0)
+
+    @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_gain(self, m):
+        # duan_witness refuses such a gain too, so neither reports nan.
+        with pytest.raises(ValueError, match="finite"):
+            bell_closed_forms(1.0, 0.0, m)
 
 
 class TestClosedFormAgreement:

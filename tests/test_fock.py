@@ -260,6 +260,11 @@ class TestStateTypes:
         with pytest.raises(HermiticityError, match="nan"):
             DensityOperator(np.full((4, 4), np.nan, dtype=complex), Cutoff(2, 2))
 
+    def test_density_rejects_infinite_entries_without_warning(self):
+        # inf - inf in the Hermiticity defect is a NaN, which fails the check.
+        with pytest.raises(HermiticityError, match="nan"):
+            DensityOperator(np.diag([np.inf, 1.0, 1.0, -np.inf]), Cutoff(2, 2))
+
     def test_density_requires_unit_trace(self):
         c = Cutoff(2, 2)
         with pytest.raises(NormalizationError):

@@ -127,6 +127,12 @@ class TestTmsv:
         with pytest.raises(TruncationError, match="keeps only nan"):
             two_mode_squeezed_vacuum(r, phi, Cutoff(4, 4))
 
+    @pytest.mark.parametrize("maker", [two_mode_squeezed_vacuum, photon_subtracted_tmsv])
+    def test_infinite_phase_refused_before_numpy(self, maker):
+        # Runs under error::RuntimeWarning: exp(1j * inf) would warn first.
+        with pytest.raises(ValueError, match="phi must be finite"):
+            maker(0.3, float("inf"), Cutoff(6, 6))
+
     @pytest.mark.parametrize("r", [711.0, 800.0, 1e6])
     def test_large_squeezing_fails_tolerance_without_overflow(self, r):
         # sech(r) underflows to 0 here; 1 / cosh(r) overflowed cosh past r ~ 710.
@@ -220,6 +226,13 @@ class TestProductCoherent:
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
             product_coherent(3.0, 0.0, Cutoff(4, 4))
+
+    @pytest.mark.parametrize(
+        "alpha_a, alpha_b", [(complex("inf"), 0.0), (0.0, complex(0, -float("inf")))]
+    )
+    def test_infinite_amplitude_refused_before_numpy(self, alpha_a, alpha_b):
+        with pytest.raises(ValueError, match="must be finite"):
+            product_coherent(alpha_a, alpha_b, Cutoff(6, 6))
 
     @pytest.mark.parametrize("alpha_a, alpha_b", [(complex("nan"), 0.5), (0.5, NAN)])
     def test_nan_amplitude_fails_tolerance(self, alpha_a, alpha_b):
