@@ -279,7 +279,7 @@ def _gram(state: State, shifts: tuple) -> np.ndarray:
     size = d_a * d_b
     count = len(shifts)
     mixed = isinstance(state, DensityOperator)
-    batch = () if mixed else state.amplitudes.shape[:-1]
+    batch = state.batch
     # A chunk of the density gather holds shifts^2 entries per flat index.
     # The chunk does not depend on the batch, so a row of a batch sums its
     # entries in the same chunks, and to the same bits, as that row alone.
@@ -377,7 +377,8 @@ def expectation_poly(rho: State, poly: OperatorPoly) -> complex:
     power guard and then fills the memo, in one Gram product, for every
     monomial of poly.
     """
-    total = 0.0 + 0.0j
+    # 0 in every row, so a batch's mean has its shape even with no terms.
+    total = np.zeros(rho.batch, dtype=complex) if rho.batch else 0.0 + 0.0j
     memo = rho._moments
     for mono, coeff in poly.terms.items():
         value = memo.get(mono)

@@ -28,6 +28,7 @@ Exit codes: 0 success, 2 config error, 3 numerical precondition failure,
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -237,16 +238,12 @@ def cmd_evaluate(config_path: str, cutoff_override=None, tol_override=None) -> i
     }
     if kind == "bell_xp":
         alpha, beta = params["alpha"], params["beta"]
-        base = criteria.bell_closed_forms(alpha, beta, 1.0)
-        output["bell_closed_forms"] = {
-            "Mx_closed": base["Mx_closed"],
-            "su11_reduced": base["su11_reduced"],
-            "ppt_spectrum": base["ppt_spectrum"],
-            "M_closed_by_m": {
-                f"{m:g}": criteria.bell_closed_forms(alpha, beta, m)["M_closed"]
-                for m in duan_ms
-            },
+        closed = criteria.bell_closed_forms(alpha, beta, 1.0)
+        del closed["M_closed"]  # given per gain instead
+        closed["M_closed_by_m"] = {
+            f"{m:g}": criteria.bell_closed_forms(alpha, beta, m)["M_closed"] for m in duan_ms
         }
+        output["bell_closed_forms"] = closed
     print(json.dumps(output, indent=2))
     return 0
 
@@ -262,11 +259,11 @@ _ROW_FORMAT = ",".join(["%.17g"] * 16 + ["%s"] * 5) + "\n"
 
 
 def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float]):
-    """CSV lines of the rows, theta outer; each witness runs once per block
-    of rows, on one batched state, and the rows are then only formatted."""
+    """CSV lines of the rows, theta outer, drawn from the grid a block at a time;
+    each witness and the closed forms run once per block, then rows are formatted."""
     thetas = np.linspace(0.0, np.pi / 2.0, n_theta)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    grid = [
+    grid = (
         (
             theta,
             phi_r,
@@ -275,10 +272,10 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
         )
         for theta in thetas
         for phi_r in phis
-    ]
+    )
     block = rows_per_batch(cutoff, _SWEEP_SHIFTS)
-    for start in range(0, len(grid), block):
-        block_thetas, block_phis, alphas, betas = zip(*grid[start : start + block])
+    while rows := list(itertools.islice(grid, block)):
+        block_thetas, block_phis, alphas, betas = zip(*rows)
         psi = states.bell_xp_state(alphas, betas, cutoff)
         mancini = criteria.mancini_witness(psi)
         var_u, var_v = mancini.quantities["var_u"], mancini.quantities["var_v"]
@@ -307,10 +304,7 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
                     su11.quantities["rhs"],
                 )
             ),
-            [
-                criteria.bell_closed_forms(alpha, beta, 1.0)["su11_reduced"]
-                for alpha, beta in zip(alphas, betas)
-            ],
+            criteria.bell_closed_forms(alphas, betas, 1.0)["su11_reduced"].tolist(),
             ppt.quantities["min_eigenvalue"].tolist(),
             ppt.quantities["negativity"].tolist(),
         ]
@@ -337,6 +331,7 @@ def cmd_sweep(config_path: str, output_path: str, cutoff_override=None) -> int:
     n_phi = _get_number(sweep_cfg, "n_phi", "sweep")
     if n_theta != int(n_theta) or n_phi != int(n_phi) or n_theta < 1 or n_phi < 1:
         raise ConfigError("sweep.n_theta and sweep.n_phi must be integers >= 1")
+    n_theta, n_phi = int(n_theta), int(n_phi)
     m_values = _parse_gains(sweep_cfg, "m_values", "sweep")
 
     state_cfg = config.get("state", {"kind": "bell_xp"})
@@ -345,10 +340,14 @@ def cmd_sweep(config_path: str, output_path: str, cutoff_override=None) -> int:
     if state_cfg.get("kind", "bell_xp") != "bell_xp":
         raise ConfigError("sweep runs over the bell_xp family; state.kind must be bell_xp")
     cutoff = _parse_cutoff(state_cfg, "bell_xp", cutoff_override)
+    # The rows are streamed; only the two axes are held whole.
+    check_physical_memory(
+        np.dtype(float).itemsize * (n_theta + n_phi), f"a {n_theta}x{n_phi} sweep", "axis arrays"
+    )
 
     # Rows go to a temp file beside the output, renamed into place only once
     # every row is written, so a failure mid-run leaves no partial CSV.
-    rows = _sweep_rows(cutoff, int(n_theta), int(n_phi), m_values)
+    rows = _sweep_rows(cutoff, n_theta, n_phi, m_values)
     tmp_path = f"{output_path}.{os.getpid()}.tmp"
     try:
         with open(tmp_path, "w", encoding="ascii", newline="") as handle:

@@ -26,11 +26,12 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import OperatorPoly, central_second, expectation_poly, quadrature_poly, variance
+from .algebra import _product  # c * z rounded as Python rounds it, for arrays too
 from .dsl import lower, parse_operator
 from .fock import PureState, State, first_of, partial_transpose_b
 # The verdict rule lives in fock; witness callers also read it from here.
 from .fock import DETECTION_MARGIN, fires  # noqa: F401
-from .states import bell_coefficients
+from .states import _check_bell_weight
 
 _REAL_TOL = 1e-10
 
@@ -65,6 +66,11 @@ def _abs(value):
     """|value| as Python's abs(complex) computes it, for scalars and arrays alike
     (numpy's vectorized complex modulus rounds differently)."""
     return np.hypot(value.real, value.imag)
+
+
+def _pow2(value):
+    """value ** 2 as Python computes it, the C pow; numpy's ** multiplies."""
+    return np.float_power(value, 2.0)
 
 
 def _real(value: complex, label: str) -> float:
@@ -104,6 +110,23 @@ def mancini_witness(rho: State) -> CriterionReport:
     )
 
 
+def _check_gain(m: float) -> float:
+    """m * m, once the separable bound m^2 + 1/m^2 of gain m is finite: m is
+    nonzero and finite, m^2 does not underflow to 0 and neither term overflows."""
+    m2 = m * m
+    if m2 == 0 or not math.isfinite(m2 + 1.0 / m2):
+        raise ValueError(f"gain m={m!r} must give a finite bound m^2 + 1/m^2")
+    return m2
+
+
+def _check_finite(values, label: str):
+    """values, once every entry is finite."""
+    bad = np.logical_not(np.isfinite(values))
+    if np.count_nonzero(bad):
+        raise ValueError(f"{label} is {float(first_of(values, bad))!r}, not finite")
+    return values
+
+
 @lru_cache(maxsize=64)
 def _duan_pair(m: float) -> tuple[OperatorPoly, OperatorPoly]:
     """u = |m| xa + xb/m and v = |m| pa - pb/m; bounded, as callers may scan gains."""
@@ -119,18 +142,18 @@ def duan_witness(rho: State, m: float = 1.0) -> CriterionReport:
     The commutator floor |m^2 - 1/m^2| <= M holds for every state and is
     reported but plays no part in the verdict.
     """
-    if m == 0:
-        raise ValueError("gain m must be nonzero")
+    m2 = _check_gain(m)
     u, v = _duan_pair(m)
-    total = variance(rho, u) + variance(rho, v)
-    bound = m * m + 1.0 / (m * m)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _check_finite instead
+        total = _check_finite(variance(rho, u) + variance(rho, v), f"Duan M at gain m={m!r}")
+    bound = m2 + 1.0 / m2
     return CriterionReport(
         name=f"Duan(m={m:g})",
         quantities={
             "M": total,
             "m": float(m),
             "bound": bound,
-            "heisenberg_floor": abs(m * m - 1.0 / (m * m)),
+            "heisenberg_floor": abs(m2 - 1.0 / m2),
         },
         entangled_detected=fires(total, bound),
         conventions="u=|m|xa+xb/m, v=|m|pa-pb/m",
@@ -198,8 +221,7 @@ def _pt_uncertainty_report(rho: State, triple, name: str, conventions: str) -> C
         brackets.append(_real(central_second(second, mean), f"{which} uncertainty bracket"))
     bracket1, bracket2 = brackets
     lhs = bracket1 * bracket2
-    # float_power is the C pow that Python's ** calls; numpy's ** squares.
-    rhs = np.float_power(_abs(expectation_poly(rho, z)), 2.0)
+    rhs = _pow2(_abs(expectation_poly(rho, z)))
     return CriterionReport(
         name=name,
         quantities={"lhs": lhs, "rhs": rhs, "bracket1": bracket1, "bracket2": bracket2},
@@ -286,33 +308,35 @@ def ppt_witness(rho: State) -> CriterionReport:
 
 # -- closed forms for the one-excitation Bell family --------------------
 
-def bell_closed_forms(alpha: complex, beta: complex, m: float = 1.0) -> dict:
+def bell_closed_forms(alpha, beta, m: float = 1.0) -> dict:
     """Analytic witness values for alpha|1,0> + beta|0,1>.
 
     Returns M_closed (variance sum at gain m), Mx_closed (variance product
     at m=1), su11_reduced (positive exactly when the K-triple test fires),
-    and the four partial-transpose eigenvalues.
+    and the four partial-transpose eigenvalues.  A batch of pairs, as
+    bell_xp_state takes, gives arrays (the spectrum on a trailing axis of 4);
+    one pair gives floats and a list, rounded as Python arithmetic rounds.
     """
-    if m == 0:
-        raise ValueError("gain m must be nonzero")
-    if not math.isfinite(m):
-        raise ValueError(f"gain m must be finite, got {m!r}")
-    alpha, beta = bell_coefficients(alpha, beta)
-    overlap = alpha.conjugate() * beta
-    m2 = m * m
-    return {
-        "M_closed": m2 + 1.0 / m2 + 2.0 * (abs(alpha) ** 2 * m2 + abs(beta) ** 2 / m2),
-        "Mx_closed": 4.0 - 4.0 * overlap.real**2,
-        "su11_reduced": abs(overlap) ** 2 - 2.0 * overlap.real**2 * overlap.imag**2,
-        "ppt_spectrum": sorted(
-            (
-                -abs(alpha) * abs(beta),
-                abs(alpha) ** 2,
-                abs(beta) ** 2,
-                abs(alpha) * abs(beta),
-            )
-        ),
+    m2 = _check_gain(m)
+    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    _check_bell_weight(alpha, beta)
+    overlap = _product(alpha.conj(), beta)
+    re2, im2 = _pow2(overlap.real), _pow2(overlap.imag)
+    abs_a, abs_b = _abs(alpha), _abs(beta)
+    a2, b2 = _pow2(abs_a), _pow2(abs_b)
+    with np.errstate(over="ignore"):  # refused by _check_finite instead
+        m_closed = m2 + 1.0 / m2 + 2.0 * (a2 * m2 + b2 / m2)
+    spectrum = np.stack(np.broadcast_arrays(-abs_a * abs_b, a2, b2, abs_a * abs_b), axis=-1)
+    forms = {
+        "M_closed": _check_finite(m_closed, f"M_closed at gain m={m!r}"),
+        "Mx_closed": 4.0 - 4.0 * re2,
+        "su11_reduced": _pow2(_abs(overlap)) - 2.0 * re2 * im2,
+        # A stable sort keeps -0.0 before an equal 0.0, as sorted() does.
+        "ppt_spectrum": np.sort(spectrum, axis=-1, kind="stable"),
     }
+    if overlap.ndim == 0:  # one pair
+        return {key: value.tolist() for key, value in forms.items()}
+    return forms
 
 
 # -- DSL cross-check registry -------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from . import algebra
 from .algebra import OperatorPoly, expectation_poly, variance
 from .errors import DimensionError, EntcertError, LexError, ParseError
-from .fock import Cutoff, PureState, State, fires
+from .fock import Cutoff, State, fires
 
 OPERATOR_SYMBOLS = ("a", "ad", "b", "bd", "xa", "pa", "xb", "pb")
 
@@ -442,9 +442,8 @@ def evaluate(node, rho: State):
     A value or a side of a comparison that overflows is a LoweringError.
     A batched PureState is refused: a query reads one state.
     """
-    if isinstance(rho, PureState) and rho.amplitudes.ndim != 1:
-        batch = rho.amplitudes.shape[:-1]
-        raise DimensionError(f"a query reads one state, got a batch of shape {batch}")
+    if rho.batch:
+        raise DimensionError(f"a query reads one state, got a batch of shape {rho.batch}")
     try:
         if isinstance(node, Compare):
             lhs = _to_real(_evaluate_value(node.left, rho), "left side of comparison")

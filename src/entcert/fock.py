@@ -106,10 +106,14 @@ class PureState:
         return complex(self.amplitudes[self.cutoff.index(n_a, n_b)])
 
     @property
+    def batch(self) -> tuple:
+        """Shape of the batch, () for one state."""
+        return self.amplitudes.shape[:-1]
+
+    @property
     def grid(self) -> np.ndarray:
         """Amplitudes as a read-only (*batch, d_a, d_b) array indexed [..., n_a, n_b]."""
-        batch = self.amplitudes.shape[:-1]
-        return self.amplitudes.reshape(*batch, self.cutoff.d_a, self.cutoff.d_b)
+        return self.amplitudes.reshape(*self.batch, self.cutoff.d_a, self.cutoff.d_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +130,7 @@ class DensityOperator:
     entries: np.ndarray
     cutoff: Cutoff
     _moments: dict = field(default_factory=dict, init=False, repr=False)
+    batch = ()  # always one state; not a field
 
     def __post_init__(self):
         mat = _frozen_copy(self.entries)

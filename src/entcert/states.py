@@ -37,13 +37,6 @@ def _check_bell_weight(alpha, beta) -> None:
         )
 
 
-def bell_coefficients(alpha: complex, beta: complex) -> tuple[complex, complex]:
-    """(alpha, beta) as complex numbers, once |alpha|^2 + |beta|^2 = 1 holds."""
-    alpha, beta = complex(alpha), complex(beta)
-    _check_bell_weight(alpha, beta)
-    return alpha, beta
-
-
 def bell_xp_state(alpha, beta, cutoff: Cutoff) -> PureState:
     """One shared excitation: alpha|1,0> + beta|0,1>, with |alpha|^2+|beta|^2 = 1.
 
@@ -177,10 +170,8 @@ _DENSITY_MATRICES_HELD = 3
 
 def density_from_pure(psi: PureState) -> DensityOperator:
     """Rank-one projector |psi><psi|, refused before any matrix exists if it would not fit."""
-    if psi.amplitudes.ndim != 1:
-        raise DimensionError(
-            f"density_from_pure takes one state, got a batch of shape {psi.amplitudes.shape[:-1]}"
-        )
+    if psi.batch:
+        raise DimensionError(f"density_from_pure takes one state, got a batch of shape {psi.batch}")
     cutoff = psi.cutoff
     needed = _DENSITY_MATRICES_HELD * np.dtype(complex).itemsize * cutoff.dim**2
     check_physical_memory(needed, f"a {cutoff.d_a}x{cutoff.d_b} density operator", "dense matrices")

@@ -23,6 +23,7 @@ from entcert import (
     Monomial,
     NormalizationError,
     PureState,
+    bell_closed_forms,
     bell_xp_state,
     density_from_pure,
     duan_witness,
@@ -33,8 +34,8 @@ from entcert import (
     su2_pt_witness,
     su11_pt_witness,
 )
-from entcert import algebra
-from entcert.cli import _GRID_ARRAYS_HELD, _SWEEP_SHIFTS, main
+from entcert import algebra, criteria
+from entcert.cli import _GRID_ARRAYS_HELD, _SWEEP_SHIFTS, _sweep_rows, main
 from entcert.dsl import evaluate_text
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -137,6 +138,49 @@ def test_complex_coefficients_match_each_row(params, seed):
     assert batched.tolist() == pytest.approx(singles, rel=1e-14, abs=1e-14)
 
 
+def _python_closed_forms(alpha: complex, beta: complex, m: float) -> dict:
+    """The closed forms in Python arithmetic on one pair."""
+    overlap = alpha.conjugate() * beta
+    m2 = m * m
+    return {
+        "M_closed": m2 + 1.0 / m2 + 2.0 * (abs(alpha) ** 2 * m2 + abs(beta) ** 2 / m2),
+        "Mx_closed": 4.0 - 4.0 * overlap.real**2,
+        "su11_reduced": abs(overlap) ** 2 - 2.0 * overlap.real**2 * overlap.imag**2,
+        "ppt_spectrum": sorted(
+            (-abs(alpha) * abs(beta), abs(alpha) ** 2, abs(beta) ** 2, abs(alpha) * abs(beta))
+        ),
+    }
+
+
+def _same_floats(left, right) -> bool:
+    """Equal with ==, and with the same sign bit on every zero."""
+    left, right = np.asarray(left), np.asarray(right)
+    return np.array_equal(left, right) and np.array_equal(np.signbit(left), np.signbit(right))
+
+
+# Pairs with a zero coefficient or a signed zero part, where the PPT
+# spectrum holds -0.0 and 0.0 in an order only a stable sort keeps.
+_EDGE_PAIRS = [(1.0, 0.0), (0.0, -1.0), (-1.0, -0.0), (1j, complex(-0.0, -0.0)), (-0.0, 1j)]
+
+
+@PROPERTY
+@given(bell_batch(), st.lists(st.sampled_from(_EDGE_PAIRS), max_size=3), st.floats(0.2, 5.0))
+def test_closed_forms_batch_matches_each_pair(params, edges, gain):
+    alpha, beta, _ = params
+    alpha = np.concatenate([alpha, [a for a, _ in edges]])
+    beta = np.concatenate([beta, [b for _, b in edges]])
+    batched = bell_closed_forms(alpha, beta, gain)
+    assert batched["ppt_spectrum"].shape == alpha.shape + (4,)
+    for index, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
+        single = bell_closed_forms(a, b, gain)
+        python = _python_closed_forms(a, b, gain)
+        assert [type(value) for value in single.values()] == [float, float, float, list]
+        for key, value in single.items():
+            assert batched[key].shape[: alpha.ndim] == alpha.shape
+            assert _same_floats(batched[key][index], value), (key, index)
+            assert _same_floats(value, python[key]), (key, index)
+
+
 def test_product_rounds_as_python():
     rng = np.random.default_rng(5)
     c = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
@@ -153,6 +197,15 @@ def test_batch_shape_of_moments_and_grid():
     assert psi.grid.shape == (2, 3, 3, 4)
     assert moment(psi, Monomial(1, 1, 0, 0)).shape == (2, 3)
     assert np.all(moment(psi, Monomial(1, 1, 0, 0)) == pytest.approx(0.36))
+
+
+def test_zero_operator_mean_has_batch_shape():
+    # With no terms the sum was the Python 0j for a batch too, which a
+    # hypothesis run of test_complex_coefficients_match_each_row drew.
+    batch = bell_xp_state([0.6, 1.0], [0.8, 0.0], Cutoff(2, 2))
+    zero = algebra.OperatorPoly({})
+    assert expectation_poly(batch, zero).tolist() == [0j, 0j]
+    assert type(expectation_poly(bell_xp_state(0.6, 0.8, Cutoff(2, 2)), zero)) is complex
 
 
 def test_single_state_reports_python_numbers():
@@ -215,11 +268,26 @@ def test_sweep_solves_once_per_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(algebra, "_gram", gram)
     monkeypatch.setattr(np.linalg, "svd", svd)
+    # Every per-row quantity comes from one batched call per block.
+    names = [
+        "mancini_witness", "duan_witness", "su2_pt_witness", "su11_pt_witness",
+        "ppt_witness", "bell_closed_forms",
+    ]
+    for name in names:
+        calls[name] = 0
+
+        def counted(*args, _name=name, _real=getattr(criteria, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(criteria, name, counted)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"sweep": {"n_theta": 12, "n_phi": 32, "m_values": [0.5, 1, 2]}}))
     assert main(["sweep", str(config), str(tmp_path / "scan.csv")]) == 0
     blocks = -(-rows // block)
-    assert calls == {"gram": blocks, "svd": blocks}
+    assert blocks == 2
+    per_block = {**dict.fromkeys(names, blocks), "duan_witness": 3 * blocks}  # three gains
+    assert calls == {"gram": blocks, "svd": blocks, **per_block}
     assert len((tmp_path / "scan.csv").read_text().splitlines()) == rows + 1
 
 
@@ -240,3 +308,14 @@ def test_sweep_memory_at_large_cutoff(tmp_path):
     grid_bytes = np.dtype(complex).itemsize * d * d
     assert peak <= _GRID_ARRAYS_HELD * grid_bytes, peak / grid_bytes
 
+
+def test_sweep_streams_its_grid():
+    # A 300x300 grid held as a list of rows took about 16 MB before the
+    # first row; drawn a block at a time, the first row costs one block's work.
+    tracemalloc.start()
+    try:
+        next(_sweep_rows(Cutoff(3, 3), 300, 300, [1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak

@@ -410,6 +410,31 @@ class TestOverrides:
         assert peak < 2**20
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize("gain", [1e-200, 1e200])
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_gain_with_non_finite_bound_exits_3(self, tmp_path, capsys, command, gain):
+        # m*m underflowed to 0, a ZeroDivisionError traceback, or overflowed:
+        # evaluate printed "M": NaN and "bound": Infinity, and sweep wrote
+        # duan_detected false.
+        payload = bell_config(
+            witnesses={"duan_m": [1.0, gain]}, sweep={"n_theta": 2, "n_phi": 2, "m_values": [gain]}
+        )
+        config = write_config(tmp_path, payload)
+        args = [command, config] + ([str(tmp_path / "scan.csv")] if command == "sweep" else [])
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numeric: gain m={gain!r} must give a finite bound m^2 + 1/m^2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_sweep_axis_beyond_physical_memory_exits_3(self, tmp_path, capsys):
+        # np.linspace raised numpy's _ArrayMemoryError with a traceback.
+        config = write_config(tmp_path, {"sweep": {"n_theta": 1e12, "n_phi": 3}})
+        assert main(["sweep", config, str(tmp_path / "scan.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric: a 1000000000000x3 sweep needs") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     @staticmethod
     def _assert_tol_refused(tmp_path, capsys, payload, command, tol, message):
         config = write_config(tmp_path, payload)

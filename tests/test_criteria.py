@@ -128,6 +128,25 @@ class TestDuan:
         with pytest.raises(ValueError):
             duan_witness(vacuum, 0.0)
 
+    @pytest.mark.parametrize("m", [1e-200, 1e200])
+    def test_rejects_gain_whose_bound_is_not_finite(self, vacuum, m):
+        # m*m underflowed to 0 (ZeroDivisionError), or overflowed and
+        # reported M as nan against an infinite bound.
+        with pytest.raises(ValueError, match="finite bound"):
+            duan_witness(vacuum, m)
+        with pytest.raises(ValueError, match="finite bound"):
+            bell_closed_forms(1.0, 0.0, m)
+
+    def test_rejects_non_finite_m_in_any_row(self):
+        # The bound 1e308 is finite; M overflows on |0,1> alone.
+        m = 1e-154
+        assert duan_witness(bell_xp_state(1.0, 0.0, Cutoff(3, 3)), m).quantities["M"] == 1e308
+        batch = bell_xp_state([1.0, 0.0], [0.0, 1.0], Cutoff(3, 3))
+        with pytest.raises(ValueError, match="Duan M at gain m=1e-154 is inf, not finite"):
+            duan_witness(batch, m)
+        with pytest.raises(ValueError, match="M_closed at gain m=1e-154 is inf, not finite"):
+            bell_closed_forms([1.0, 0.0], [0.0, 1.0], m)
+
     def test_heisenberg_floor_reported(self, vacuum):
         report = duan_witness(vacuum, 2.0)
         assert report.quantities["heisenberg_floor"] == pytest.approx(3.75)
