@@ -60,7 +60,7 @@ class OperatorPoly:
     equality.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, complex] | None = None):
         cleaned: dict[Monomial, complex] = {}
@@ -70,6 +70,7 @@ class OperatorPoly:
                 if c != 0:
                     cleaned[Monomial(*mono)] = c
         self.terms = cleaned
+        self._hash = None  # computed by the first __hash__
 
     # -- constructors -------------------------------------------------
 
@@ -159,7 +160,9 @@ class OperatorPoly:
         return isinstance(other, OperatorPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -28,6 +28,7 @@ Exit codes: 0 success, 2 config error, 3 numerical precondition failure,
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -200,7 +201,19 @@ def _parse_duan_ms(config: dict) -> list[float]:
     block = config.get("witnesses", {})
     if not isinstance(block, dict):
         raise ConfigError("'witnesses' must be a JSON object")
-    return _parse_gains(block, "duan_m", "witnesses")
+    gains = _parse_gains(block, "duan_m", "witnesses")
+    # Reports and closed forms are labelled f"{m:g}"; two different gains
+    # under one label would leave one closed form standing for both.
+    first_by_label = {}
+    for idx, m in enumerate(gains):
+        label = f"{m:g}"
+        first = first_by_label.setdefault(label, idx)
+        if gains[first] != m:
+            raise ConfigError(
+                f"witnesses.duan_m[{first}] and witnesses.duan_m[{idx}] are different gains "
+                f"with the same label {label!r}"
+            )
+    return gains
 
 
 # -- evaluate -----------------------------------------------------------
@@ -255,27 +268,39 @@ def cmd_evaluate(config_path: str, cutoff_override=None, tol_override=None) -> i
 _SWEEP_SHIFTS = 9
 
 # A CSV row: sixteen numbers to 17 significant digits, then five verdicts.
-_ROW_FORMAT = ",".join(["%.17g"] * 16 + ["%s"] * 5) + "\n"
+# theta, phi_r, beta_re and beta_im are axis values, which _sweep_grid
+# formats once per axis value, so they arrive here as text.
+_NUMBER = "%.17g"
+_ROW_FORMAT = ",".join(["%s"] * 2 + [_NUMBER] * 2 + ["%s"] * 2 + [_NUMBER] * 10 + ["%s"] * 5) + "\n"
+
+# Bytes _sweep_grid holds per phi value: the float, its text, its phase and
+# the pair of them, 171 as measured with tracemalloc.
+_PHI_AXIS_BYTES = 176
+
+
+def _sweep_grid(n_theta: int, n_phi: int):
+    """(theta, phi_r, beta_re, beta_im) as CSV text, then alpha and beta,
+    for each row, theta outer; each axis value is formatted once.  alpha is
+    the product of the floats math.cos(theta) and complex(math.cos(phi_r),
+    math.sin(phi_r)), on which the golden CSVs' bytes depend."""
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    phi_axis = [(_NUMBER % phi_r, complex(math.cos(phi_r), math.sin(phi_r))) for phi_r in phis]
+    for theta in np.linspace(0.0, np.pi / 2.0, n_theta):
+        beta = complex(math.sin(theta))
+        theta_text, beta_re, beta_im = (_NUMBER % x for x in (theta, beta.real, beta.imag))
+        cos_theta = math.cos(theta)
+        for phi_text, phase in phi_axis:
+            yield theta_text, phi_text, beta_re, beta_im, cos_theta * phase, beta
 
 
 def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float]):
-    """CSV lines of the rows, theta outer, drawn from the grid a block at a time;
-    each witness and the closed forms run once per block, then rows are formatted."""
-    thetas = np.linspace(0.0, np.pi / 2.0, n_theta)
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    grid = (
-        (
-            theta,
-            phi_r,
-            math.cos(theta) * complex(math.cos(phi_r), math.sin(phi_r)),
-            complex(math.sin(theta)),
-        )
-        for theta in thetas
-        for phi_r in phis
-    )
+    """CSV text of the rows, one string per block of rows drawn from the grid;
+    each witness and the closed forms run once per block, and the block's rows
+    are formatted in one operation."""
+    grid = _sweep_grid(n_theta, n_phi)
     block = rows_per_batch(cutoff, _SWEEP_SHIFTS)
     while rows := list(itertools.islice(grid, block)):
-        block_thetas, block_phis, alphas, betas = zip(*rows)
+        theta_texts, phi_texts, beta_res, beta_ims, alphas, betas = zip(*rows)
         psi = states.bell_xp_state(alphas, betas, cutoff)
         mancini = criteria.mancini_witness(psi)
         var_u, var_v = mancini.quantities["var_u"], mancini.quantities["var_v"]
@@ -285,13 +310,13 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
         duan_detected = np.logical_or.reduce(
             [criteria.duan_witness(psi, m).entangled_detected for m in m_values]
         )
-        numbers = [
-            block_thetas,
-            block_phis,
+        columns = [
+            theta_texts,
+            phi_texts,
             [alpha.real for alpha in alphas],
             [alpha.imag for alpha in alphas],
-            [beta.real for beta in betas],
-            [beta.imag for beta in betas],
+            beta_res,
+            beta_ims,
             *(
                 column.tolist()
                 for column in (
@@ -307,19 +332,18 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
             criteria.bell_closed_forms(alphas, betas, 1.0)["su11_reduced"].tolist(),
             ppt.quantities["min_eigenvalue"].tolist(),
             ppt.quantities["negativity"].tolist(),
+            *(
+                np.where(detected, "true", "false").tolist()
+                for detected in (
+                    mancini.entangled_detected,
+                    duan_detected,
+                    su2.entangled_detected,
+                    su11.entangled_detected,
+                    ppt.entangled_detected,
+                )
+            ),
         ]
-        verdicts = [
-            np.where(detected, "true", "false").tolist()
-            for detected in (
-                mancini.entangled_detected,
-                duan_detected,
-                su2.entangled_detected,
-                su11.entangled_detected,
-                ppt.entangled_detected,
-            )
-        ]
-        for row in zip(*numbers, *verdicts):
-            yield _ROW_FORMAT % row
+        yield (_ROW_FORMAT * len(rows)) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def cmd_sweep(config_path: str, output_path: str, cutoff_override=None) -> int:
@@ -342,7 +366,9 @@ def cmd_sweep(config_path: str, output_path: str, cutoff_override=None) -> int:
     cutoff = _parse_cutoff(state_cfg, "bell_xp", cutoff_override)
     # The rows are streamed; only the two axes are held whole.
     check_physical_memory(
-        np.dtype(float).itemsize * (n_theta + n_phi), f"a {n_theta}x{n_phi} sweep", "axis arrays"
+        np.dtype(float).itemsize * n_theta + _PHI_AXIS_BYTES * n_phi,
+        f"a {n_theta}x{n_phi} sweep",
+        "axis arrays",
     )
 
     # Rows go to a temp file beside the output, renamed into place only once
@@ -395,7 +421,9 @@ def cmd_expr(expression: str, config_path: str, cutoff_override=None, tol_overri
 
 # -- entry point ----------------------------------------------------------
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="entcert",
         description="Moment-based entanglement certification for two-mode bosonic states.",

@@ -41,69 +41,100 @@ class LoweringError(EntcertError):
 
 # -- AST ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexLiteral:
-    value: complex
+class _Node(tuple):
+    """An immutable AST node or token: the tuple of its _fields, equal only
+    to one of its own type, so Add(x, y) != Sub(x, y).  Subclasses list
+    _fields and get one read-only property per field; unlike a dataclass,
+    defining one generates no code, which keeps the import cheap."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(operator.itemgetter(index)))
+
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}")
+        return tuple.__new__(cls, values)
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), tuple(self)))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str  # one of OPERATOR_SYMBOLS or "i"
+class ComplexLiteral(_Node):
+    __slots__ = ()
+    _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Symbol(_Node):
+    __slots__ = ()
+    _fields = ("name",)  # name: one of OPERATOR_SYMBOLS or "i"
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Neg(_Node):
+    __slots__ = ()
+    _fields = ("operand",)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Add(_Node):
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Sub(_Node):
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+class Mul(_Node):
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Div(_Node):
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Paren:
-    inner: object
+class Pow(_Node):
+    __slots__ = ()
+    _fields = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class EQuery:
-    expr: object
+class Paren(_Node):
+    __slots__ = ()
+    _fields = ("inner",)
 
 
-@dataclass(frozen=True)
-class VarQuery:
-    expr: object
+class EQuery(_Node):
+    __slots__ = ()
+    _fields = ("expr",)
 
 
-@dataclass(frozen=True)
-class Abs2:
-    arg: object
+class VarQuery(_Node):
+    __slots__ = ()
+    _fields = ("expr",)
+
+
+class Abs2(_Node):
+    __slots__ = ()
+    _fields = ("arg",)
 
 
 # Both levels share the arithmetic nodes and fold +, - and * alike: operator
@@ -114,11 +145,9 @@ _RING_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 _OPERATOR_QUERIES = {"E": EQuery, "Var": VarQuery}
 
 
-@dataclass(frozen=True)
-class Compare:
-    left: object
-    relation: str  # ">=" or "<"
-    right: object
+class Compare(_Node):
+    __slots__ = ()
+    _fields = ("left", "relation", "right")  # relation: ">=" or "<"
 
 
 @dataclass(frozen=True)
@@ -141,11 +170,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number", "name", or the punctuation itself
-    text: str
-    pos: int
+class Token(_Node):
+    __slots__ = ()
+    _fields = ("kind", "text", "pos")  # kind: "number", "name", or the punctuation itself
 
 
 def tokenize(text: str) -> list[Token]:

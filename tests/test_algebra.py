@@ -403,3 +403,17 @@ class TestVariance:
                 (expectation_poly(rho, u * u) - expectation_poly(rho, u) ** 2).real
             )
         assert algebra._square.cache_info().currsize <= 128
+
+    def test_equal_polynomials_share_one_square(self):
+        from entcert import algebra
+
+        # Built apart, in different term orders: equal, so they hash alike
+        # and the second square is read from the cache.
+        first = QUADRATURES["xa"] + QUADRATURES["xb"] * 2.0
+        second = QUADRATURES["xb"] * 2.0 + QUADRATURES["xa"]
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        algebra._square(first)
+        hits = algebra._square.cache_info().hits
+        assert algebra._square(second) is algebra._square(first)
+        assert algebra._square.cache_info().hits == hits + 2

@@ -11,6 +11,8 @@ from entcert.cli import main
 SQRT_HALF = 2.0**-0.5
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_golden.csv"
 GOLDEN_SWEEP_5X4 = Path(__file__).parent / "data" / "sweep_golden_5x4.csv"
+GOLDEN_SWEEP_BLOCKS = Path(__file__).parent / "data" / "sweep_golden_blocks.csv"
+GOLDEN_SWEEP_BLOCKS_5X4 = Path(__file__).parent / "data" / "sweep_golden_blocks_5x4.csv"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -133,6 +135,33 @@ class TestEvaluate:
         assert main(["evaluate", config]) == 2
         assert capsys.readouterr().err == "config: witnesses.duan_m[1] must be finite\n"
 
+    def test_different_gains_with_one_label_are_config_error(self, tmp_path, capsys):
+        # Both reports were named Duan(m=1), and M_closed_by_m["1"] held the
+        # closed form of 1.0000001, not of 1.
+        config = write_config(
+            tmp_path,
+            bell_config(alpha=0.6, beta=0.8, witnesses={"duan_m": [1, 1.0000001, 2]}),
+        )
+        assert main(["evaluate", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config: witnesses.duan_m[0] and witnesses.duan_m[1] are different gains "
+            "with the same label '1'\n"
+        )
+
+    def test_repeated_gain_is_allowed(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, bell_config(alpha=0.6, beta=0.8, witnesses={"duan_m": [1, 2, 1.0]})
+        )
+        assert main(["evaluate", config]) == 0
+        output = json.loads(capsys.readouterr().out)
+        names = [report["name"] for report in output["reports"]["duan"]]
+        assert names == ["Duan(m=1)", "Duan(m=2)", "Duan(m=1)"]
+        assert output["bell_closed_forms"]["M_closed_by_m"] == {
+            "1": pytest.approx(4.0), "2": pytest.approx(7.45)
+        }
+
     def test_unnormalized_bell_is_numeric_error(self, tmp_path, capsys):
         config = write_config(tmp_path, bell_config(alpha=1.0, beta=1.0))
         assert main(["evaluate", config]) == 3
@@ -214,6 +243,34 @@ class TestSweep:
         out = tmp_path / "scan.csv"
         assert main(["sweep", config, str(out), "--cutoff", "5", "4"]) == 0
         assert out.read_bytes() == GOLDEN_SWEEP_5X4.read_bytes()
+
+    @pytest.mark.parametrize(
+        "n_theta, n_phi, cutoff, blocks, golden",
+        [
+            (27, 15, (3, 3), [202, 202, 1], GOLDEN_SWEEP_BLOCKS),
+            (13, 8, (5, 4), [91, 13], GOLDEN_SWEEP_BLOCKS_5X4),
+        ],
+    )
+    def test_matches_golden_csv_across_blocks(
+        self, tmp_path, n_theta, n_phi, cutoff, blocks, golden
+    ):
+        # Reference outputs recorded while each row was formatted on its own;
+        # these grids span more than one block, the last one partly filled.
+        from entcert.algebra import rows_per_batch
+        from entcert.cli import _SWEEP_SHIFTS
+        from entcert.fock import Cutoff
+
+        block = rows_per_batch(Cutoff(*cutoff), _SWEEP_SHIFTS)
+        rows = n_theta * n_phi
+        assert [min(block, rows - start) for start in range(0, rows, block)] == blocks
+        config = write_config(
+            tmp_path,
+            {"sweep": {"n_theta": n_theta, "n_phi": n_phi, "m_values": [0.5, 1, 2]}},
+        )
+        out = tmp_path / "scan.csv"
+        args = ["sweep", config, str(out), "--cutoff", *map(str, cutoff)]
+        assert main(args) == 0
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_row_order_theta_outer(self, tmp_path):
         config = write_config(
@@ -380,6 +437,25 @@ class TestExpr:
         config = write_config(tmp_path, bell_config())
         assert main(["expr", "Var[a]", config]) == 5
         assert capsys.readouterr().err.startswith("expr:")
+
+
+class TestArgParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        from entcert import cli
+
+        assert cli._build_argparser() is cli._build_argparser()
+        config = write_config(tmp_path, bell_config())
+        assert main(["evaluate", config, "--cutoff", "4", "5"]) == 0
+        with pytest.raises(SystemExit) as usage:
+            main(["evaluate"])
+        assert usage.value.code == 2
+        with pytest.raises(SystemExit) as shown_help:
+            main(["sweep", "--help"])
+        assert shown_help.value.code == 0
+        capsys.readouterr()
+        # No option of an earlier call carries over.
+        assert main(["evaluate", config]) == 0
+        assert json.loads(capsys.readouterr().out)["state"]["cutoff"] == {"d_a": 3, "d_b": 3}
 
 
 class TestOverrides:

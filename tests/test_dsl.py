@@ -13,13 +13,16 @@ from entcert.dsl import (
     Add,
     Compare,
     CompareResult,
+    ComplexLiteral,
     EQuery,
     LoweringError,
     Mul,
     Neg,
     Paren,
     Pow,
+    Sub,
     Symbol,
+    Token,
     VarQuery,
     evaluate,
     evaluate_text,
@@ -125,6 +128,41 @@ class TestParsing:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse("E[ad*a] 3")
+
+
+class TestNodes:
+    def test_equality_is_distinct_by_type(self):
+        x, y = Symbol("a"), Symbol("b")
+        assert Add(x, y) == Add(Symbol("a"), Symbol("b"))
+        assert Add(x, y) != Sub(x, y)
+        assert not Add(x, y) == Sub(x, y)
+        assert EQuery(x) != VarQuery(x)
+        assert Add(x, y) != (x, y)
+        assert Token("name", "a", 0) != Symbol("a")
+
+    def test_equal_nodes_hash_alike(self):
+        text = "Var[xa+xb]*Var[pa-pb] >= 1"
+        assert parse(text) is not parse(text)
+        assert hash(parse(text)) == hash(parse(text))
+        assert len({parse(text), parse(text), parse("Var[xa+xb]*Var[pa-pb] < 1")}) == 2
+        assert len({Add(Symbol("a"), Symbol("b")), Sub(Symbol("a"), Symbol("b"))}) == 2
+
+    def test_nodes_are_immutable(self):
+        node = Pow(Symbol("a"), 2)
+        with pytest.raises(AttributeError):
+            node.exponent = 3
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(AttributeError):
+            dsl.tokenize("a")[0].pos = 1
+        assert node == Pow(Symbol("a"), 2)
+
+    def test_fields_and_repr(self):
+        node = Compare(EQuery(Symbol("a")), ">=", ComplexLiteral(1 + 0j))
+        assert (node.left, node.relation, node.right) == tuple(node)
+        assert repr(Pow(Symbol("a"), 2)) == "Pow(base=Symbol(name='a'), exponent=2)"
+        with pytest.raises(TypeError):
+            Add(Symbol("a"))
 
 
 ROUND_TRIP_CORPUS = [
