@@ -43,9 +43,7 @@ from .fock import (
     DensityOperator,
     PureState,
     embed,
-    expectation,
     hermitian_eigenvalues,
-    lowering_matrix,
     partial_transpose_b,
     partial_transpose_matrix,
 )
@@ -69,12 +67,10 @@ __all__ = [
     "Monomial",
     "OperatorPoly",
     "QUADRATURES",
-    "lowering_matrix",
     "embed",
     "partial_transpose_b",
     "partial_transpose_matrix",
     "hermitian_eigenvalues",
-    "expectation",
     "bell_xp_state",
     "two_mode_squeezed_vacuum",
     "photon_subtracted_tmsv",

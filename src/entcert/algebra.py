@@ -318,14 +318,17 @@ def _gram(state: State, shifts: tuple) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _gram_layout(shifts: tuple, d_a: int, d_b: int) -> tuple:
-    """(monomials, flat Gram indices) of every entry the power guard accepts."""
+    """(monomials, flat Gram indices) of every entry the power guard accepts;
+    the indices are read-only, as every caller shares the cached array."""
     keys, index = [], []
     for i, (m, p) in enumerate(shifts):
         for j, (n, q) in enumerate(shifts):
             if m + n < d_a and p + q < d_b:
                 keys.append(Monomial(m, n, p, q))
                 index.append(i * len(shifts) + j)
-    return tuple(keys), np.array(index, dtype=np.intp)
+    index = np.array(index, dtype=np.intp)
+    index.setflags(write=False)
+    return tuple(keys), index
 
 
 def _fill_moments(state: State, mono: Monomial, monos: Iterable[Monomial]) -> None:

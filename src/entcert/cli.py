@@ -40,7 +40,7 @@ import numpy as np
 
 from . import criteria, dsl, states
 from .algebra import rows_per_batch
-from .errors import DslError, EntcertError, ParseError
+from .errors import DimensionError, DslError, EntcertError, ParseError
 from .fock import Cutoff, check_physical_memory
 from .states import DEFAULT_TRUNC_TOL, TruncationReport
 
@@ -108,19 +108,14 @@ _GRID_ARRAYS_HELD = 5
 
 
 def _parse_cutoff(state_cfg: dict, kind: str, override) -> Cutoff:
-    """The run's cutoff, checked against physical memory before any array exists."""
-    cutoff = _requested_cutoff(state_cfg, kind, override)
-    needed = _GRID_ARRAYS_HELD * np.dtype(complex).itemsize * cutoff.dim
-    check_physical_memory(needed, f"cutoff {cutoff.d_a}x{cutoff.d_b}", "amplitude arrays")
-    return cutoff
-
-
-def _requested_cutoff(state_cfg: dict, kind: str, override) -> Cutoff:
+    """The run's cutoff: --cutoff, else state.cutoff, else the kind's default,
+    which coherent states size from their amplitudes; checked against
+    physical memory before any array exists."""
     if override is not None:
         if override[0] < 2 or override[1] < 2:
             raise ConfigError("--cutoff values must be integers >= 2")
-        return Cutoff(override[0], override[1])
-    if "cutoff" in state_cfg:
+        d_a, d_b = override
+    elif "cutoff" in state_cfg:
         block = state_cfg["cutoff"]
         if not isinstance(block, dict):
             raise ConfigError("state.cutoff must be an object {\"d_a\": int, \"d_b\": int}")
@@ -128,14 +123,32 @@ def _requested_cutoff(state_cfg: dict, kind: str, override) -> Cutoff:
         d_b = _get_number(block, "d_b", "state.cutoff")
         if d_a != int(d_a) or d_b != int(d_b) or d_a < 2 or d_b < 2:
             raise ConfigError("state.cutoff entries must be integers >= 2")
-        return Cutoff(int(d_a), int(d_b))
-    if kind in _DEFAULT_CUTOFFS:
-        return Cutoff(*_DEFAULT_CUTOFFS[kind])
-    # coherent states: size the basis from the amplitudes
-    alpha_a = abs(_get_complex(state_cfg, "alpha_a", "state"))
-    alpha_b = abs(_get_complex(state_cfg, "alpha_b", "state"))
-    heuristic = lambda a: max(12, math.ceil(a * a + 6.0 * a + 10.0))  # noqa: E731
-    return Cutoff(heuristic(alpha_a), heuristic(alpha_b))
+        d_a, d_b = int(d_a), int(d_b)
+    elif kind in _DEFAULT_CUTOFFS:
+        d_a, d_b = _DEFAULT_CUTOFFS[kind]
+    else:
+        alphas = [_get_complex(state_cfg, key, "state") for key in ("alpha_a", "alpha_b")]
+        try:
+            d_a, d_b = (max(12, math.ceil(a * a + 6.0 * a + 10.0)) for a in map(abs, alphas))
+        except OverflowError:  # |alpha| or |alpha|^2 is past the float range
+            raise DimensionError(
+                f"coherent amplitudes {alphas[0]!r} and {alphas[1]!r} need a default "
+                "cutoff past the float range"
+            ) from None
+    needed = _GRID_ARRAYS_HELD * np.dtype(complex).itemsize * d_a * d_b
+    check_physical_memory(needed, f"cutoff {d_a}x{d_b}", "amplitude arrays")
+    return Cutoff(d_a, d_b)
+
+
+def _parse_trunc_tol(state_cfg: dict, override) -> float:
+    """--tol when given (main has checked it), else state.trunc_tol, which must
+    be a finite positive number."""
+    if override is not None:
+        return override
+    trunc_tol = _get_number(state_cfg, "trunc_tol", "state", default=DEFAULT_TRUNC_TOL)
+    if trunc_tol <= 0:
+        raise ConfigError("state.trunc_tol must be positive")
+    return trunc_tol
 
 
 def build_state(state_cfg: dict, cutoff_override=None, tol_override=None):
@@ -149,11 +162,7 @@ def build_state(state_cfg: dict, cutoff_override=None, tol_override=None):
             f"product_coherent; got {kind!r}"
         )
     cutoff = _parse_cutoff(state_cfg, kind, cutoff_override)
-    trunc_tol = tol_override if tol_override is not None else _get_number(
-        state_cfg, "trunc_tol", "state", default=DEFAULT_TRUNC_TOL
-    )
-    if trunc_tol <= 0:
-        raise ConfigError("state.trunc_tol must be positive")
+    trunc_tol = _parse_trunc_tol(state_cfg, tol_override)
 
     if kind == "bell_xp":
         alpha = _get_complex(state_cfg, "alpha", "state")
@@ -346,7 +355,7 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
         yield (_ROW_FORMAT * len(rows)) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
-def cmd_sweep(config_path: str, output_path: str, cutoff_override=None) -> int:
+def cmd_sweep(config_path: str, output_path: str, cutoff_override=None, tol_override=None) -> int:
     config = _load_config(config_path)
     sweep_cfg = config.get("sweep")
     if not isinstance(sweep_cfg, dict):
@@ -364,6 +373,8 @@ def cmd_sweep(config_path: str, output_path: str, cutoff_override=None) -> int:
     if state_cfg.get("kind", "bell_xp") != "bell_xp":
         raise ConfigError("sweep runs over the bell_xp family; state.kind must be bell_xp")
     cutoff = _parse_cutoff(state_cfg, "bell_xp", cutoff_override)
+    # Checked as evaluate checks it, though the Bell family is exact in any truncation.
+    _parse_trunc_tol(state_cfg, tol_override)
     # The rows are streamed; only the two axes are held whole.
     check_physical_memory(
         np.dtype(float).itemsize * n_theta + _PHI_AXIS_BYTES * n_phi,
@@ -472,7 +483,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(args.config, cutoff_override, tol_override)
         if args.command == "sweep":
-            return cmd_sweep(args.config, args.output, cutoff_override)
+            return cmd_sweep(args.config, args.output, cutoff_override, tol_override)
         return cmd_expr(args.expression, args.config, cutoff_override, tol_override)
     except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)

@@ -160,12 +160,15 @@ class CompareResult:
 
 # -- lexer --------------------------------------------------------------
 
+# Every alternative consumes a character, and "bad" takes any non-space one
+# that starts no token, so the matches cover the text up to trailing space.
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<geq>>=)"
     r"|(?P<punct>[+*/^()\[\]<]|-|−)"
+    r"|(?P<bad>\S)"
     r")"
 )
 
@@ -177,22 +180,15 @@ class Token(_Node):
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == match.start():
-            # skip leading whitespace manually to report the right offset
-            stripped = len(text) - len(text[pos:].lstrip())
-            if stripped >= len(text):
-                break
-            raise LexError(f"unexpected character {text[stripped]!r}", stripped)
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastgroup
+        if group == "bad":
+            raise LexError(f"unexpected character {match.group(group)!r}", match.start(group))
         # A number or a name takes its group as kind; ">=" and punctuation
         # are their own kind, with the unicode minus read as "-".
-        group = match.lastgroup
         lexeme = match.group(group).replace("−", "-")
         kind = group if group in ("number", "name") else lexeme
         tokens.append(Token(kind, lexeme, match.start(group)))
-        pos = match.end()
     tokens.append(Token("end", "", len(text)))
     return tokens
 

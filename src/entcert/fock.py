@@ -186,16 +186,6 @@ def check_physical_memory(needed: int, subject: str, kind: str) -> None:
 State = PureState | DensityOperator
 
 
-def lowering_matrix(d: int) -> np.ndarray:
-    """Single-mode annihilation matrix: a|n> = sqrt(n)|n-1>, levels 0..d-1."""
-    if d < 1:
-        raise DimensionError(f"need at least one basis level, got d={d}")
-    mat = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        mat[n - 1, n] = np.sqrt(n)
-    return mat
-
-
 def embed(op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
     """Joint operator op_a (x) op_b under the row-major (n_a, n_b) ordering."""
     op_a = np.asarray(op_a, dtype=complex)
@@ -238,12 +228,3 @@ def hermitian_eigenvalues(op: np.ndarray) -> np.ndarray:
     check_hermitian(op, TOL_HERM * scale, "matrix")
     return np.linalg.eigvalsh(op)
 
-
-def expectation(rho: DensityOperator, op: np.ndarray) -> complex:
-    """trace(rho @ op) for a joint operator matrix."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != rho.entries.shape:
-        raise DimensionError(
-            f"operator shape {op.shape} does not match state shape {rho.entries.shape}"
-        )
-    return complex(np.einsum("ij,ji->", rho.entries, op))

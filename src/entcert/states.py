@@ -28,8 +28,10 @@ class TruncationReport:
 
 
 def _check_bell_weight(alpha, beta) -> None:
-    """Raise NormalizationError unless |alpha|^2 + |beta|^2 = 1 in every row; NaN fails."""
-    weight = abs(alpha) ** 2 + abs(beta) ** 2
+    """Raise NormalizationError unless |alpha|^2 + |beta|^2 = 1 in every row; NaN
+    fails, and so does a weight that overflows to inf."""
+    with np.errstate(over="ignore"):
+        weight = abs(alpha) ** 2 + abs(beta) ** 2
     bad = np.logical_not(abs(weight - 1.0) <= TOL_NORM)
     if np.count_nonzero(bad):
         raise NormalizationError(
@@ -133,9 +135,13 @@ def photon_subtracted_tmsv(
 
 
 def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
-    """Truncated coherent amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
+    """Truncated coherent amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!); all zero,
+    so no weight is kept, when |alpha|^2 is past the float range."""
     amps = np.empty(d, dtype=complex)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    try:
+        amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    except OverflowError:
+        amps[0] = 0.0
     for n in range(1, d):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps

@@ -1,14 +1,15 @@
 """Shared fixtures and brute-force oracle helpers.
 
 The oracle path deliberately avoids the package's normal-ordering
-algebra: operators are built by multiplying raw truncated ladder matrices
-in the written order, so it can cross-check the symbolic route.
+algebra: operators are built with numpy alone by multiplying raw truncated
+ladder matrices in the written order, so it can cross-check the symbolic
+route without sharing any code with it.
 """
 
 import numpy as np
 import pytest
 
-from entcert import Cutoff, DensityOperator, embed, lowering_matrix
+from entcert import Cutoff, DensityOperator
 
 SQRT_HALF = 2.0**-0.5
 
@@ -31,10 +32,16 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def lowering_matrix(d: int) -> np.ndarray:
+    """Single-mode annihilation matrix: a|n> = sqrt(n)|n-1>, levels 0..d-1."""
+    return np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+
+
 def ladder_ops(cutoff: Cutoff) -> dict:
-    """Raw truncated joint ladder matrices, keyed by DSL symbol names."""
-    low_a = embed(lowering_matrix(cutoff.d_a), np.eye(cutoff.d_b))
-    low_b = embed(np.eye(cutoff.d_a), lowering_matrix(cutoff.d_b))
+    """Raw truncated joint ladder matrices, keyed by DSL symbol names; mode a
+    is the outer factor of the row-major (n_a, n_b) basis."""
+    low_a = np.kron(lowering_matrix(cutoff.d_a), np.eye(cutoff.d_b))
+    low_b = np.kron(np.eye(cutoff.d_a), lowering_matrix(cutoff.d_b))
     return {
         "a": low_a,
         "ad": low_a.conj().T,

@@ -298,6 +298,17 @@ class TestMoments:
         # No memo entry is stored for a monomial the power guard rejects.
         assert all(m + n < c.d_a and p + q < c.d_b for m, n, p, q in state._moments)
 
+    def test_cached_tables_are_read_only(self):
+        from entcert import algebra
+
+        # Every fill shares these cached arrays; a write would corrupt the next.
+        shifts = ((0, 0), (0, 1), (1, 0), (1, 1))
+        _, index = algebra._gram_layout(shifts, 3, 3)
+        assert index is algebra._gram_layout(shifts, 3, 3)[1]
+        for table in (index, algebra._truncated_weights(1, 3)):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
     def test_density_gather_past_chunk_floor(self, rng):
         from entcert import algebra
 

@@ -511,6 +511,49 @@ class TestOverrides:
         assert err.startswith("numeric: a 1000000000000x3 sweep needs") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("cutoff", [[], ["--cutoff", "4", "4"]])
+    @pytest.mark.parametrize("alpha", [1e200, complex(1.7e308, 1.7e308)])
+    def test_coherent_amplitude_whose_square_overflows_exits_3(
+        self, tmp_path, capsys, alpha, cutoff
+    ):
+        # An OverflowError traceback and exit 1: from the default cutoff rule
+        # without --cutoff, from the state's amplitudes with it.
+        state = {
+            "kind": "product_coherent",
+            "alpha_a": {"re": alpha.real, "im": alpha.imag},
+            "alpha_b": {"re": 0.0, "im": 0.0},
+        }
+        config = write_config(tmp_path, {"state": state})
+        assert main(["evaluate", config] + cutoff) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric: ") and captured.err.count("\n") == 1
+        expected = "keeps only 0.0" if cutoff else "default cutoff past the float range"
+        assert expected in captured.err
+
+    @pytest.mark.parametrize("command", ["evaluate", "expr"])
+    def test_bell_amplitude_whose_square_overflows_is_one_numeric_line(
+        self, tmp_path, capsys, command
+    ):
+        # numpy's overflow RuntimeWarning reached stderr ahead of this line.
+        config = write_config(tmp_path, bell_config(alpha=1e200, beta=0.0))
+        assert main([command] + (["E[ad*a]"] if command == "expr" else []) + [config]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric: |alpha|^2 + |beta|^2 = inf, expected 1 within 1e-10\n"
+
+    @pytest.mark.parametrize("trunc_tol", [-1, 0, "abc", None, True])
+    def test_sweep_refuses_the_trunc_tol_evaluate_refuses(self, tmp_path, capsys, trunc_tol):
+        # sweep exited 0 on every one of these.
+        payload = bell_config(state_extra={"trunc_tol": trunc_tol}, sweep={"n_theta": 1, "n_phi": 1})
+        config = write_config(tmp_path, payload)
+        assert main(["evaluate", config]) == 2
+        refusal = capsys.readouterr().err
+        assert refusal.startswith("config: ") and "trunc_tol" in refusal
+        assert main(["sweep", config, str(tmp_path / "scan.csv")]) == 2
+        assert capsys.readouterr().err == refusal
+        assert not (tmp_path / "scan.csv").exists()
+
     @staticmethod
     def _assert_tol_refused(tmp_path, capsys, payload, command, tol, message):
         config = write_config(tmp_path, payload)

@@ -1,7 +1,11 @@
 """Parser, lowering pass, and query evaluation."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entcert import Cutoff, LexError, Monomial, OperatorPoly, ParseError, PowerGuardError
 from entcert import bell_xp_state
@@ -383,3 +387,45 @@ class TestParserTotality:
                 parse(text)
             except (ParseError, LexError) as exc:
                 assert 0 <= exc.position <= len(text)
+
+
+# Characters that open a token on their own; "." opens one before a digit
+# and ">" before "=".  Spelled out here, apart from the lexer's pattern.
+_TOKEN_STARTS = set(string.ascii_letters + "_" + string.digits + "+-*/^()[]<−")
+_LEX_ALPHABET = (
+    "".join(sorted(_TOKEN_STARTS)) + ".>="  # token characters
+    + " \t\n\r\x0b\x0c\u00a0\u3000"  # whitespace, ASCII and unicode
+    + "!#$%&{}|~`'\",;:?\\é\x00λ"  # characters that start no token
+)
+
+
+def _starts_token(text: str, pos: int) -> bool:
+    char, after = text[pos], text[pos + 1 : pos + 2]
+    if char == ".":
+        return after.isdigit()
+    if char == ">":
+        return after == "="
+    return char in _TOKEN_STARTS
+
+
+class TestTokenize:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=_LEX_ALPHABET, max_size=40))
+    def test_tokens_rebuild_the_text_or_lexing_stops_at_the_first_stranger(self, text):
+        try:
+            tokens = dsl.tokenize(text)
+        except LexError as exc:
+            pos = exc.position
+            assert not text[pos].isspace() and not _starts_token(text, pos)
+            assert repr(text[pos]) in str(exc)
+            dsl.tokenize(text[:pos])  # nothing before it is refused
+            return
+        assert tokens[-1] == Token("end", "", len(text))
+        end = 0
+        for tok in tokens[:-1]:
+            assert tok.pos >= end and text[end : tok.pos].strip() == ""
+            assert text[tok.pos : tok.pos + len(tok.text)].replace("−", "-") == tok.text
+            end = tok.pos + len(tok.text)
+        assert text[end:].strip() == ""
+        rebuilt = "".join(tok.text for tok in tokens)
+        assert rebuilt == "".join(text.split()).replace("−", "-")

@@ -1,4 +1,5 @@
-"""Core linear-algebra layer: ladder matrices, embedding, partial transpose."""
+"""Core linear-algebra layer: embedding, partial transpose, spectra, state types;
+also the dense ladder matrices of the tests' oracle."""
 
 import numpy as np
 import pytest
@@ -13,21 +14,21 @@ from entcert import (
     bell_xp_state,
     density_from_pure,
     embed,
-    expectation,
     hermitian_eigenvalues,
-    lowering_matrix,
     partial_transpose_b,
     partial_transpose_matrix,
 )
 from entcert.algebra import QUADRATURES
 from entcert.fock import check_hermitian
 
-from conftest import random_density
+from conftest import ladder_ops, lowering_matrix, random_density
 
 SQRT_HALF = 2.0**-0.5
 
 
 class TestLoweringMatrix:
+    """The oracle's single-mode annihilation matrix."""
+
     def test_single_level_is_zero(self):
         assert np.array_equal(lowering_matrix(1), np.zeros((1, 1)))
 
@@ -42,10 +43,6 @@ class TestLoweringMatrix:
         mat = lowering_matrix(2)
         assert mat[0, 1] == 1.0
         assert np.count_nonzero(mat) == 1
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(DimensionError):
-            lowering_matrix(0)
 
 
 class TestEmbed:
@@ -199,28 +196,24 @@ class TestCheckHermitian:
 
 
 class TestExpectation:
+    """Moments taken as trace(rho @ op) with the oracle's joint ladder matrices."""
+
     def test_identity_gives_unit_trace(self, rng):
         c = Cutoff(3, 3)
         rho = random_density(rng, c)
-        assert expectation(rho, np.eye(c.dim)) == pytest.approx(1.0)
+        assert np.trace(rho.entries @ ladder_ops(c)["id"]) == pytest.approx(1.0)
 
     def test_number_operator_on_one_photon(self):
         c = Cutoff(2, 2)
         rho = density_from_pure(bell_xp_state(1.0, 0.0, c))
-        num_a = embed(lowering_matrix(2).conj().T @ lowering_matrix(2), np.eye(2))
-        assert expectation(rho, num_a) == pytest.approx(1.0)
+        ops = ladder_ops(c)
+        assert np.trace(rho.entries @ ops["ad"] @ ops["a"]) == pytest.approx(1.0)
 
     def test_mode_exchange_moment_on_bell(self):
         c = Cutoff(2, 2)
         rho = density_from_pure(bell_xp_state(SQRT_HALF, SQRT_HALF, c))
-        adag_b = embed(lowering_matrix(2).conj().T, lowering_matrix(2))
-        assert expectation(rho, adag_b) == pytest.approx(0.5)
-
-    def test_shape_check(self, rng):
-        c = Cutoff(3, 3)
-        rho = random_density(rng, c)
-        with pytest.raises(DimensionError):
-            expectation(rho, np.eye(4))
+        ops = ladder_ops(c)
+        assert np.trace(rho.entries @ ops["ad"] @ ops["b"]) == pytest.approx(0.5)
 
 
 class TestCommutatorTruncation:

@@ -14,15 +14,13 @@ from entcert import (
     bell_closed_forms,
     bell_xp_state,
     density_from_pure,
-    embed,
-    lowering_matrix,
     photon_subtracted_tmsv,
     product_coherent,
     two_mode_squeezed_vacuum,
 )
 from entcert.states import _DENSITY_MATRICES_HELD
 
-from conftest import random_bell_params, word_matrix
+from conftest import lowering_matrix, random_bell_params, word_matrix
 
 SQRT_HALF = 2.0**-0.5
 NAN = float("nan")
@@ -67,6 +65,14 @@ class TestBellState:
             bell_xp_state(alpha, beta, Cutoff(2, 2))
         with pytest.raises(NormalizationError, match="nan"):
             bell_closed_forms(alpha, beta)
+
+    @pytest.mark.parametrize("alpha", [1e200, complex(1.7e308, 1.7e308)])
+    def test_overflowing_weight_is_refused_without_warning(self, alpha):
+        # |alpha|^2 overflowed with a numpy RuntimeWarning before the refusal.
+        with pytest.raises(NormalizationError, match="= inf"):
+            bell_xp_state(alpha, 0.0, Cutoff(2, 2))
+        with pytest.raises(NormalizationError, match="= inf"):
+            bell_closed_forms(alpha, 0.0)
 
     def test_global_phase_invariance(self, rng):
         c = Cutoff(3, 3)
@@ -148,7 +154,7 @@ class TestPhotonSubtractedTmsv:
     def test_matches_numeric_subtraction(self):
         r, phi, c = 0.5, np.pi, Cutoff(20, 20)
         tmsv, _ = two_mode_squeezed_vacuum(r, phi, c)
-        joint_lower = embed(lowering_matrix(20), lowering_matrix(20))
+        joint_lower = np.kron(lowering_matrix(20), lowering_matrix(20))
         expected = joint_lower @ tmsv.amplitudes
         expected /= np.linalg.norm(expected)
         psi, _ = photon_subtracted_tmsv(r, phi, c)
@@ -226,6 +232,14 @@ class TestProductCoherent:
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
             product_coherent(3.0, 0.0, Cutoff(4, 4))
+
+    @pytest.mark.parametrize(
+        "alpha_a, alpha_b", [(1e200, 0.0), (0.0, complex(1e308, 1e308)), (complex(0, 1.7e308), 0.0)]
+    )
+    def test_amplitude_whose_square_overflows_keeps_no_weight(self, alpha_a, alpha_b):
+        # abs(alpha) ** 2 raised OverflowError.
+        with pytest.raises(TruncationError, match="keeps only 0.000000000000 "):
+            product_coherent(alpha_a, alpha_b, Cutoff(4, 4))
 
     @pytest.mark.parametrize(
         "alpha_a, alpha_b", [(complex("inf"), 0.0), (0.0, complex(0, -float("inf")))]
