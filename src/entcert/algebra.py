@@ -33,10 +33,6 @@ class Monomial(NamedTuple):
     bdag: int
     b: int
 
-    @property
-    def degree(self) -> int:
-        return self.adag + self.a + self.bdag + self.b
-
 
 IDENTITY_MONO = Monomial(0, 0, 0, 0)
 

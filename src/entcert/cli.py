@@ -71,6 +71,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON ({exc.msg} at line {exc.lineno})") from exc
+    except RecursionError:
+        raise ConfigError(f"{path} nests too deeply to read") from None
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return config
@@ -231,8 +233,7 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def cmd_evaluate(config_path: str, cutoff_override=None, tol_override=None) -> int:
-    config = _load_config(config_path)
+def cmd_evaluate(config: dict, cutoff_override=None, tol_override=None) -> int:
     if "state" not in config:
         raise ConfigError("config must contain a 'state' block")
     duan_ms = _parse_duan_ms(config)
@@ -355,8 +356,7 @@ def _sweep_rows(cutoff: Cutoff, n_theta: int, n_phi: int, m_values: list[float])
         yield (_ROW_FORMAT * len(rows)) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
-def cmd_sweep(config_path: str, output_path: str, cutoff_override=None, tol_override=None) -> int:
-    config = _load_config(config_path)
+def cmd_sweep(config: dict, output_path: str, cutoff_override=None, tol_override=None) -> int:
     sweep_cfg = config.get("sweep")
     if not isinstance(sweep_cfg, dict):
         raise ConfigError("config must contain a 'sweep' object")
@@ -402,27 +402,11 @@ def cmd_sweep(config_path: str, output_path: str, cutoff_override=None, tol_over
 
 # -- expr ---------------------------------------------------------------
 
-def cmd_expr(expression: str, config_path: str, cutoff_override=None, tol_override=None) -> int:
-    config = _load_config(config_path)
+def cmd_expr(expression: str, config: dict, cutoff_override=None, tol_override=None) -> int:
     if "state" not in config:
         raise ConfigError("config must contain a 'state' block")
     psi, _, _, _ = build_state(config["state"], cutoff_override, tol_override)
-
-    try:
-        query = dsl.parse(expression)
-    except DslError as exc:
-        label = "parse" if isinstance(exc, ParseError) else "lexical"
-        print(f"expr: {label} error at column {exc.position + 1}: {exc}", file=sys.stderr)
-        print(expression, file=sys.stderr)
-        print(" " * exc.position + "^", file=sys.stderr)
-        return 5
-
-    try:
-        result = dsl.evaluate(query, psi)
-    except dsl.LoweringError as exc:
-        print(f"expr: {exc}", file=sys.stderr)
-        return 5
-
+    result = dsl.evaluate(dsl.parse(expression), psi)
     if isinstance(result, dsl.CompareResult):
         print(json.dumps({"lhs": result.lhs, "rhs": result.rhs, "holds": result.holds}, indent=2))
     else:
@@ -476,18 +460,30 @@ def _parse_tol(value):
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every failure but a sweep's write error gets its exit code here."""
     args = _build_argparser().parse_args(argv)
     cutoff_override = tuple(args.cutoff) if args.cutoff else None
     try:
         tol_override = _parse_tol(args.tol)
+        config = _load_config(args.config)
         if args.command == "evaluate":
-            return cmd_evaluate(args.config, cutoff_override, tol_override)
+            return cmd_evaluate(config, cutoff_override, tol_override)
         if args.command == "sweep":
-            return cmd_sweep(args.config, args.output, cutoff_override, tol_override)
-        return cmd_expr(args.expression, args.config, cutoff_override, tol_override)
+            return cmd_sweep(config, args.output, cutoff_override, tol_override)
+        return cmd_expr(args.expression, config, cutoff_override, tol_override)
     except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
+    # Both subclass EntcertError, so they come before it.
+    except DslError as exc:
+        label = "parse" if isinstance(exc, ParseError) else "lexical"
+        print(f"expr: {label} error at column {exc.position + 1}: {exc}", file=sys.stderr)
+        print(args.expression, file=sys.stderr)
+        print(" " * exc.position + "^", file=sys.stderr)
+        return 5
+    except dsl.LoweringError as exc:
+        print(f"expr: {exc}", file=sys.stderr)
+        return 5
     except (EntcertError, ValueError) as exc:
         print(f"numeric: {exc}", file=sys.stderr)
         return 3

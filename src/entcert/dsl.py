@@ -244,15 +244,10 @@ class _Parser:
 
     def parse_query(self):
         left = self.parse_arith()
-        if self.current.kind in (">=", "<"):
-            relation = self._advance().kind
-            right = self.parse_arith()
-            node = Compare(left, relation, right)
-        else:
-            node = left
-        if self.current.kind != "end":
-            self._fail("end of input, an arithmetic operator, '>=' or '<'")
-        return node
+        if self.current.kind not in (">=", "<"):
+            return left
+        relation = self._advance().kind
+        return Compare(left, relation, self.parse_arith())
 
     def parse_arith(self):
         return self._chain(self.parse_aterm, ("+", "-"))
@@ -315,15 +310,25 @@ class _Parser:
 
 def parse(text: str):
     """Parse a query (or a bare arithmetic expression over E/Var results)."""
-    return _Parser(text).parse_query()
+    return _parse(text, _Parser.parse_query, "end of input, an arithmetic operator, '>=' or '<'")
 
 
 def parse_operator(text: str):
     """Parse text as a pure operator expression (the inside of E[...])."""
+    return _parse(text, _Parser.parse_expr, "end of input or an operator")
+
+
+def _parse(text: str, rule, follows: str):
+    """rule's node for the whole text, where follows names what may come after
+    it; nesting past the recursion limit is a ParseError at the token where
+    the parser stopped."""
     parser = _Parser(text)
-    node = parser.parse_expr()
+    try:
+        node = rule(parser)
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.current.pos) from None
     if parser.current.kind != "end":
-        parser._fail("end of input or an operator")
+        parser._fail(follows)
     return node
 
 
@@ -462,7 +467,8 @@ def evaluate(node, rho: State):
     checking the imaginary parts are negligible, with the witnesses' rule
     fock.fires: lhs < rhs only when it fires, so a state that saturates
     a bound holds it whatever the round-off.
-    A value or a side of a comparison that overflows is a LoweringError.
+    A value or a side of a comparison that overflows is a LoweringError, as
+    is a query nested too deeply to lower or to evaluate.
     A batched PureState is refused: a query reads one state.
     """
     if rho.batch:
@@ -477,6 +483,8 @@ def evaluate(node, rho: State):
         return _finite(_evaluate_value(node, rho), "value")
     except OverflowError as exc:
         raise LoweringError("query value overflows a float") from exc
+    except RecursionError:
+        raise LoweringError("query nests too deeply to evaluate") from None
 
 
 def _evaluate_value(node, rho: State) -> complex:

@@ -631,3 +631,84 @@ class TestPureStatePath:
         config = write_config(tmp_path, bell_config(alpha=0.6, beta=0.8))
         assert main(["expr", "E[ad*a]", config]) == 0
         assert json.loads(capsys.readouterr().out)["re"] == pytest.approx(0.36)
+
+
+class TestFailures:
+    """main maps every failure to its documented exit code and stderr shape."""
+
+    @pytest.mark.parametrize(
+        "args, code, first_line, caret_column",
+        [
+            (["evaluate", "CONFIG", "--cutoff", "1", "1"], 2,
+             "config: --cutoff values must be integers >= 2", None),
+            (["expr", "E[ad^3*a^3]", "CONFIG"], 3,
+             "numeric: ladder powers (a:3, b:0) too high for cutoff 3x3", None),
+            (["sweep", "CONFIG", "OUT"], 4, "io: cannot write OUT: ", None),
+            (["expr", "E[ad*a] $ 1", "CONFIG"], 5,
+             "expr: lexical error at column 9: unexpected character '$'", 9),
+            (["expr", "E[ad*", "CONFIG"], 5,
+             "expr: parse error at column 6: expected an operator symbol, i, a number, "
+             "or '(', found end of input", 6),
+            (["expr", "E[a]/0", "CONFIG"], 5, "expr: division by zero in query arithmetic", None),
+        ],
+        ids=["config", "numeric", "io", "lexical", "parse", "lowering"],
+    )
+    def test_one_failure_per_exit_code(self, tmp_path, capsys, args, code, first_line, caret_column):
+        config = write_config(tmp_path, bell_config(sweep={"n_theta": 1, "n_phi": 1}))
+        out = str(tmp_path / "no-such-dir" / "out.csv")
+        names = {"CONFIG": config, "OUT": out}
+        assert main([names.get(arg, arg) for arg in args]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert err_lines[0].startswith(first_line.replace("OUT", out))
+        if caret_column is None:
+            assert len(err_lines) == 1
+        else:
+            assert err_lines[1:] == [args[1], " " * (caret_column - 1) + "^"]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "(" * 1650 + "E[a]" + ")" * 1650,
+            "E[" + "(" * 1410 + "a" + ")" * 1410 + "]",
+            "E[" + "-" * 9800 + "a]",
+        ],
+        ids=["parens", "parens-in-E", "unary-minus"],
+    )
+    def test_deep_query_is_a_parse_error(self, tmp_path, capsys, query):
+        config = write_config(tmp_path, bell_config())
+        assert main(["expr", query, config]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, text, caret = captured.err.splitlines()
+        assert first == f"expr: parse error at column {len(caret)}: expression nests too deeply"
+        assert text == query
+        assert caret == " " * (len(caret) - 1) + "^" and query[len(caret) - 1] in "(-"
+
+    @pytest.mark.parametrize(
+        "query",
+        ["E[" + "+".join(["a"] * 9900) + "]", "+".join(["E[ad*a]"] * 9900)],
+        ids=["operator-sum", "query-sum"],
+    )
+    def test_long_sum_is_a_lowering_error(self, tmp_path, capsys, query):
+        config = write_config(tmp_path, bell_config())
+        assert main(["expr", query, config]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "expr: query nests too deeply to evaluate\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "expr"])
+    def test_deep_json_config_is_a_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text('{"state": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        args = {
+            "evaluate": ["evaluate", str(path)],
+            "sweep": ["sweep", str(path), str(tmp_path / "scan.csv")],
+            "expr": ["expr", "E[ad*a]", str(path)],
+        }[command]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config: {path} nests too deeply to read\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]

@@ -389,6 +389,51 @@ class TestParserTotality:
                 assert 0 <= exc.position <= len(text)
 
 
+# Ten times the depth at which each input first overflowed the recursion
+# limit, with no other error in it.
+_DEEP_PARENS = "(" * 1650 + "E[a]" + ")" * 1650
+_DEEP_PARENS_IN_E = "E[" + "(" * 1410 + "a" + ")" * 1410 + "]"
+_DEEP_MINUS = "E[" + "-" * 9800 + "a]"
+_LONG_OPERATOR_SUM = "E[" + "+".join(["a"] * 9900) + "]"
+_LONG_QUERY_SUM = "+".join(["E[ad*a]"] * 9900)
+
+
+class TestDepth:
+    """Input that nests past Python's recursion limit is the package's own
+    error, not a RecursionError."""
+
+    @pytest.mark.parametrize(
+        "text, opener",
+        [(_DEEP_PARENS, "("), (_DEEP_PARENS_IN_E, "("), (_DEEP_MINUS, "-")],
+        ids=["parens", "parens-in-E", "unary-minus"],
+    )
+    def test_deep_nesting_is_a_positioned_parse_error(self, text, opener):
+        with pytest.raises(ParseError, match="nests too deeply") as info:
+            parse(text)
+        assert 0 < info.value.position < len(text)
+        assert text[info.value.position] == opener
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 1410 + "a" + ")" * 1410, "-" * 9800 + "a"], ids=["parens", "unary-minus"]
+    )
+    def test_deep_operator_text_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_operator(text)
+
+    @pytest.mark.parametrize(
+        "text", [_LONG_OPERATOR_SUM, _LONG_QUERY_SUM], ids=["operator-sum", "query-sum"]
+    )
+    def test_long_sum_is_a_lowering_error(self, bell_half, text):
+        query = parse(text)  # the parser folds a sum in a loop
+        with pytest.raises(LoweringError, match="nests too deeply"):
+            evaluate(query, bell_half)
+
+    def test_shallow_input_still_evaluates(self, bell_half):
+        text = "(" * 50 + "E[" + "(" * 50 + "ad*a" + ")" * 50 + "]" + ")" * 50
+        assert evaluate_text(text, bell_half) == pytest.approx(0.5)
+        assert evaluate_text("+".join(["E[ad*a]"] * 100), bell_half) == pytest.approx(50.0)
+
+
 # Characters that open a token on their own; "." opens one before a digit
 # and ">" before "=".  Spelled out here, apart from the lexer's pattern.
 _TOKEN_STARTS = set(string.ascii_letters + "_" + string.digits + "+-*/^()[]<−")
