@@ -78,6 +78,14 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _is_finite(value: int | float) -> bool:
+    """math.isfinite, with a JSON integer too large for a float not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _get_number(obj: dict, key: str, ctx: str, default=None):
     if key not in obj:
         if default is not None:
@@ -86,7 +94,7 @@ def _get_number(obj: dict, key: str, ctx: str, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{ctx}: field {key!r} must be a number")
-    if not math.isfinite(value):
+    if not _is_finite(value):
         raise ConfigError(f"{ctx}: field {key!r} must be finite")
     return float(value)
 
@@ -202,7 +210,7 @@ def _parse_gains(block: dict, key: str, ctx: str) -> list[float]:
     for idx, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value == 0:
             raise ConfigError(f"{ctx}.{key}[{idx}] must be a nonzero number")
-        if not math.isfinite(value):
+        if not _is_finite(value):
             raise ConfigError(f"{ctx}.{key}[{idx}] must be finite")
         out.append(float(value))
     return out

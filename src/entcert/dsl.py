@@ -25,6 +25,7 @@ import cmath
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import algebra
@@ -41,27 +42,11 @@ class LoweringError(EntcertError):
 
 # -- AST ----------------------------------------------------------------
 
-class _Node(tuple):
-    """An immutable AST node or token: the tuple of its _fields, equal only
-    to one of its own type, so Add(x, y) != Sub(x, y).  Subclasses list
-    _fields and get one read-only property per field; unlike a dataclass,
-    defining one generates no code, which keeps the import cheap."""
+class _Node:
+    """Mixin for the AST nodes and tokens, which are namedtuples: a node is
+    equal only to one of its own type, so Add(x, y) != Sub(x, y)."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        for index, name in enumerate(cls._fields):
-            setattr(cls, name, property(operator.itemgetter(index)))
-
-    def __new__(cls, *values):
-        if len(values) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}")
-        return tuple.__new__(cls, values)
-
-    def __getnewargs__(self):
-        return tuple(self)
 
     def __eq__(self, other):
         return type(self) is type(other) and tuple.__eq__(self, other)
@@ -72,69 +57,53 @@ class _Node(tuple):
     def __hash__(self):
         return hash((type(self), tuple(self)))
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{type(self).__name__}({fields})"
 
-
-class ComplexLiteral(_Node):
+class ComplexLiteral(_Node, namedtuple("ComplexLiteral", "value")):
     __slots__ = ()
-    _fields = ("value",)
 
 
-class Symbol(_Node):
+class Symbol(_Node, namedtuple("Symbol", "name")):  # name: one of OPERATOR_SYMBOLS or "i"
     __slots__ = ()
-    _fields = ("name",)  # name: one of OPERATOR_SYMBOLS or "i"
 
 
-class Neg(_Node):
+class Neg(_Node, namedtuple("Neg", "operand")):
     __slots__ = ()
-    _fields = ("operand",)
 
 
-class Add(_Node):
+class Add(_Node, namedtuple("Add", "left right")):
     __slots__ = ()
-    _fields = ("left", "right")
 
 
-class Sub(_Node):
+class Sub(_Node, namedtuple("Sub", "left right")):
     __slots__ = ()
-    _fields = ("left", "right")
 
 
-class Mul(_Node):
+class Mul(_Node, namedtuple("Mul", "left right")):
     __slots__ = ()
-    _fields = ("left", "right")
 
 
-class Div(_Node):
+class Div(_Node, namedtuple("Div", "left right")):
     __slots__ = ()
-    _fields = ("left", "right")
 
 
-class Pow(_Node):
+class Pow(_Node, namedtuple("Pow", "base exponent")):
     __slots__ = ()
-    _fields = ("base", "exponent")
 
 
-class Paren(_Node):
+class Paren(_Node, namedtuple("Paren", "inner")):
     __slots__ = ()
-    _fields = ("inner",)
 
 
-class EQuery(_Node):
+class EQuery(_Node, namedtuple("EQuery", "expr")):
     __slots__ = ()
-    _fields = ("expr",)
 
 
-class VarQuery(_Node):
+class VarQuery(_Node, namedtuple("VarQuery", "expr")):
     __slots__ = ()
-    _fields = ("expr",)
 
 
-class Abs2(_Node):
+class Abs2(_Node, namedtuple("Abs2", "arg")):
     __slots__ = ()
-    _fields = ("arg",)
 
 
 # Both levels share the arithmetic nodes and fold +, - and * alike: operator
@@ -145,9 +114,8 @@ _RING_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 _OPERATOR_QUERIES = {"E": EQuery, "Var": VarQuery}
 
 
-class Compare(_Node):
+class Compare(_Node, namedtuple("Compare", "left relation right")):  # relation: ">=" or "<"
     __slots__ = ()
-    _fields = ("left", "relation", "right")  # relation: ">=" or "<"
 
 
 @dataclass(frozen=True)
@@ -173,9 +141,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(_Node):
+# kind: "number", "name", or the punctuation itself
+class Token(_Node, namedtuple("Token", "kind text pos")):
     __slots__ = ()
-    _fields = ("kind", "text", "pos")  # kind: "number", "name", or the punctuation itself
 
 
 def tokenize(text: str) -> list[Token]:
@@ -197,7 +165,6 @@ def tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.index = 0
 
@@ -288,9 +255,13 @@ class _Parser:
         if self.current.kind == "^":
             self._advance()
             tok = self._expect("number", "a positive integer exponent")
-            if not tok.text.isdigit() or int(tok.text) < 1:
+            try:  # int() refuses more digits than Python's int_max_str_digits
+                exponent = int(tok.text) if tok.text.isdigit() else 0
+            except ValueError:
+                raise ParseError(f"{len(tok.text)}-digit exponent is too large", tok.pos) from None
+            if exponent < 1:
                 raise ParseError(f"exponent must be a positive integer, got {tok.text!r}", tok.pos)
-            return Pow(base, int(tok.text))
+            return Pow(base, exponent)
         return base
 
     def parse_primary(self):

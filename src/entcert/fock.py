@@ -25,8 +25,17 @@ DETECTION_MARGIN = TOL_PSD
 
 def fires(lhs: float, bound: float) -> bool:
     """The one verdict rule: lhs is below the separable bound by more than
-    DETECTION_MARGIN; element-wise on the arrays of a batch."""
-    return lhs < bound - DETECTION_MARGIN
+    DETECTION_MARGIN * max(1, |lhs|, |bound|); element-wise on the arrays of
+    a batch.  The margin scales with the values because the round-off of a
+    moment polynomial does: a separable coherent state near |alpha| = 30
+    saturates a bound of 8e5 to within 4e-10."""
+    # Below the threshold of the largest of the three scales is below all
+    # three thresholds; so written, Python floats give a Python bool.
+    return (
+        (lhs < bound - DETECTION_MARGIN)
+        & (lhs < bound - DETECTION_MARGIN * abs(lhs))
+        & (lhs < bound - DETECTION_MARGIN * abs(bound))
+    )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ renormalize silently past tolerance: if the kept weight falls below
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,14 +135,29 @@ def photon_subtracted_tmsv(
     return PureState(sub / np.linalg.norm(sub), cutoff), TruncationReport(kept, renormalized=True)
 
 
+# Past this |alpha|^2 / 2, e^{-|alpha|^2/2} is below the smallest normal
+# float: it loses bits from |alpha| = 37.6 and is 0 from |alpha| = 38.6.
+_COHERENT_RECURRENCE_MAX = -math.log(sys.float_info.min)
+
+
 def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
     """Truncated coherent amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!); all zero,
-    so no weight is kept, when |alpha|^2 is past the float range."""
-    amps = np.empty(d, dtype=complex)
+    so no weight is kept, when |alpha|^2 is past the float range.
+
+    A recurrence from n = 0 while e^{-|alpha|^2/2} is a normal float; past
+    that, each amplitude is taken from its logarithm.
+    """
     try:
-        amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+        half_mean_photons = abs(alpha) ** 2 / 2.0
     except OverflowError:
-        amps[0] = 0.0
+        return np.zeros(d, dtype=complex)
+    if half_mean_photons > _COHERENT_RECURRENCE_MAX:
+        n = np.arange(d)
+        log_factorial = np.array([math.lgamma(k + 1.0) for k in range(d)])
+        log_abs = n * math.log(abs(alpha)) - 0.5 * log_factorial - half_mean_photons
+        return np.exp(log_abs) * np.exp(1j * cmath.phase(alpha) * n)
+    amps = np.empty(d, dtype=complex)
+    amps[0] = math.exp(-half_mean_photons)
     for n in range(1, d):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps

@@ -9,6 +9,8 @@ import pytest
 from entcert.cli import main
 
 SQRT_HALF = 2.0**-0.5
+# A JSON integer of 401 digits, beyond the largest float.
+HUGE_INT = 10**400
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_golden.csv"
 GOLDEN_SWEEP_5X4 = Path(__file__).parent / "data" / "sweep_golden_5x4.csv"
 GOLDEN_SWEEP_BLOCKS = Path(__file__).parent / "data" / "sweep_golden_blocks.csv"
@@ -122,15 +124,22 @@ class TestEvaluate:
             {"state": {"kind": "tmsv", "r": -1.0, "phi": 0.0}},
             bell_config(witnesses={"duan_m": [0]}),
             bell_config(state_extra={"cutoff": {"d_a": 1, "d_b": 3}}),
+            # Integers too large for a float: an OverflowError traceback, exit 1.
+            {"state": {"kind": "tmsv", "r": HUGE_INT, "phi": 0.0}},
+            bell_config(witnesses={"duan_m": [HUGE_INT]}),
+            bell_config(state_extra={"cutoff": {"d_a": HUGE_INT, "d_b": 3}}),
         ]
         for payload in cases:
             config = write_config(tmp_path, payload)
             assert main(["evaluate", config]) == 2, payload
             assert capsys.readouterr().err.startswith("config:")
 
-    @pytest.mark.parametrize("gain", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "gain", [float("nan"), float("inf"), -float("inf"), pytest.param(HUGE_INT, id="401-digits")]
+    )
     def test_non_finite_gain_is_config_error(self, tmp_path, capsys, gain):
-        # json.dumps writes NaN / Infinity literals, which json.load accepts.
+        # json.dumps writes NaN / Infinity literals, which json.load accepts,
+        # and an integer too large for a float counts as not finite.
         config = write_config(tmp_path, bell_config(witnesses={"duan_m": [1.0, gain]}))
         assert main(["evaluate", config]) == 2
         assert capsys.readouterr().err == "config: witnesses.duan_m[1] must be finite\n"
@@ -293,13 +302,23 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("io:")
 
     def test_non_finite_gain_is_config_error(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path, {"sweep": {"n_theta": 2, "n_phi": 2, "m_values": [float("inf")]}}
-        )
-        out = tmp_path / "x.csv"
-        assert main(["sweep", config, str(out)]) == 2
-        assert capsys.readouterr().err == "config: sweep.m_values[0] must be finite\n"
-        assert not out.exists()
+        for gain in (float("inf"), HUGE_INT):
+            config = write_config(
+                tmp_path, {"sweep": {"n_theta": 2, "n_phi": 2, "m_values": [gain]}}
+            )
+            out = tmp_path / "x.csv"
+            assert main(["sweep", config, str(out)]) == 2
+            assert capsys.readouterr().err == "config: sweep.m_values[0] must be finite\n"
+            assert not out.exists()
+
+    def test_axis_too_large_for_a_float_is_config_error(self, tmp_path, capsys):
+        # An OverflowError traceback and exit 1.
+        config = write_config(tmp_path, {"sweep": {"n_theta": HUGE_INT, "n_phi": 2}})
+        assert main(["sweep", config, str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config: sweep: field 'n_theta' must be finite\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_failure_mid_run_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         from entcert import algebra, criteria
@@ -650,8 +669,11 @@ class TestFailures:
              "expr: parse error at column 6: expected an operator symbol, i, a number, "
              "or '(', found end of input", 6),
             (["expr", "E[a]/0", "CONFIG"], 5, "expr: division by zero in query arithmetic", None),
+            # The exponent's int() raised a ValueError, which exited 3.
+            (["expr", "E[a^" + "9" * 5000 + "]", "CONFIG"], 5,
+             "expr: parse error at column 5: 5000-digit exponent is too large", 5),
         ],
-        ids=["config", "numeric", "io", "lexical", "parse", "lowering"],
+        ids=["config", "numeric", "io", "lexical", "parse", "lowering", "long-exponent"],
     )
     def test_one_failure_per_exit_code(self, tmp_path, capsys, args, code, first_line, caret_column):
         config = write_config(tmp_path, bell_config(sweep={"n_theta": 1, "n_phi": 1}))

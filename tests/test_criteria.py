@@ -50,6 +50,11 @@ class TestVerdictRule:
             (1.0 - 2.0 * DETECTION_MARGIN, 1.0, True),
             (-DETECTION_MARGIN, 0.0, False),
             (-2.0 * DETECTION_MARGIN, 0.0, True),
+            # Past size 1 the margin scales with max(|lhs|, |bound|).
+            (1e6 - 0.5e6 * DETECTION_MARGIN, 1e6, False),
+            (1e6 - 2e6 * DETECTION_MARGIN, 1e6, True),
+            (-1e6, -1e6 + 0.5e6 * DETECTION_MARGIN, False),
+            (-1e6, -1e6 + 2e6 * DETECTION_MARGIN, True),
         ],
     )
     def test_fires_only_past_the_margin(self, lhs, bound, fired):

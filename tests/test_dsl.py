@@ -123,7 +123,16 @@ class TestParsing:
         ast = parse("E[ad*a] < 1")
         assert isinstance(ast, Compare) and ast.relation == "<"
 
-    @pytest.mark.parametrize("text, column", [("1e999", 0), ("E[1e999*ad*a]", 2), ("E[a] >= 2e400", 8)])
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("1e999", 0),
+            ("E[1e999*ad*a]", 2),
+            ("E[a] >= 2e400", 8),
+            # More digits than int() converts: a ValueError, exit 3 from the CLI.
+            pytest.param("E[a^" + "9" * 5000 + "]", 4, id="5000-digit-exponent"),
+        ],
+    )
     def test_overflowing_number_is_positioned_parse_error(self, text, column):
         with pytest.raises(ParseError) as info:
             parse(text)

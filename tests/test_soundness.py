@@ -5,8 +5,18 @@ states (as DensityOperator), at 3..6 levels per mode.  Each mode's factor
 is either a random vector or a single number state, so the vacuum and
 other product number states, which saturate several bounds, come up too;
 there the verdict rests on the detection margin that the witnesses and
-the DSL share.
+the DSL share.  Coherent products with one vacuum mode saturate the
+K-triple bound too, at values of order |alpha|^4 (8e5 at |alpha| = 30);
+they go through `entcert evaluate` at its default cutoff, and the margin
+must scale with the values.
 """
+
+import cmath
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -22,6 +32,7 @@ from entcert import (
     su2_pt_witness,
     su11_pt_witness,
 )
+from entcert.cli import main
 from entcert.criteria import BUILTIN_QUERIES
 from entcert.dsl import evaluate_text
 
@@ -73,3 +84,32 @@ def test_no_witness_fires_on_separable_states(rho, m):
         name for name, query in BUILTIN_QUERIES.items() if not evaluate_text(query, rho).holds
     ]
     assert failing == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    radius=st.floats(0.0, 40.0),
+    angle=st.floats(-np.pi, np.pi),
+    vacuum_in_a=st.booleans(),
+)
+# The quadrature K-triple fired here: lhs 811800.9998337552 against rhs
+# 811800.9998337555, below it by more than an absolute margin of 1e-10.
+@example(radius=30.0, angle=0.0, vacuum_in_a=False)
+def test_no_witness_fires_on_coherent_products_with_a_vacuum_mode(radius, angle, vacuum_in_a):
+    alpha = cmath.rect(radius, angle)
+    amplitudes = [{"re": alpha.real, "im": alpha.imag}, {"re": 0.0, "im": 0.0}]
+    if vacuum_in_a:
+        amplitudes.reverse()
+    state = {"kind": "product_coherent", "alpha_a": amplitudes[0], "alpha_b": amplitudes[1]}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "coherent.json"
+        config.write_text(json.dumps({"state": state}))
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["evaluate", str(config)]) == 0
+    reports = json.loads(out.getvalue())["reports"]
+    fired = [
+        report["name"]
+        for report in [*reports.values(), *reports["duan"]]
+        if isinstance(report, dict) and report["entangled_detected"]
+    ]
+    assert fired == []

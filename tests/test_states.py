@@ -233,6 +233,16 @@ class TestProductCoherent:
         with pytest.raises(TruncationError):
             product_coherent(3.0, 0.0, Cutoff(4, 4))
 
+    @pytest.mark.parametrize("alpha", [37.6, 38.0, 38.5, 39 + 10j, 40j])
+    def test_large_amplitude_keeps_its_weight(self, alpha):
+        # e^{-|alpha|^2/2} lost bits past |alpha| = 37.6, so 38.5 kept a
+        # weight of 1.035, and was 0 past 38.6, so no weight was kept.
+        psi, report = product_coherent(alpha, 0.0, Cutoff(1900, 2))
+        assert report.kept_weight == pytest.approx(1.0, abs=1e-10)
+        grid = psi.grid
+        mean_a = np.vdot(grid[:-1, 0], np.sqrt(np.arange(1, 1900)) * grid[1:, 0])
+        assert mean_a == pytest.approx(alpha, rel=1e-10)
+
     @pytest.mark.parametrize(
         "alpha_a, alpha_b", [(1e200, 0.0), (0.0, complex(1e308, 1e308)), (complex(0, 1.7e308), 0.0)]
     )
