@@ -14,6 +14,7 @@ which gives the vacuum quadrature variance 1/2.
 
 import math
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -51,12 +52,13 @@ def _mode_product(m1: int, n1: int, m2: int, n2: int) -> Iterable[tuple[int, int
 class OperatorPoly:
     """Canonical normal-ordered polynomial with complex coefficients.
 
-    Immutable by convention; arithmetic returns new instances.  Zero
-    coefficients are never stored, so ``terms`` comparison is canonical
-    equality.
+    Immutable: ``terms`` is a read-only view, so a polynomial that a cache
+    hands to every caller cannot be changed by one of them; arithmetic
+    returns new instances.  Zero coefficients are never stored, so
+    ``terms`` comparison is canonical equality.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, complex] | None = None):
         cleaned: dict[Monomial, complex] = {}
@@ -65,8 +67,13 @@ class OperatorPoly:
                 c = complex(coeff)
                 if c != 0:
                     cleaned[Monomial(*mono)] = c
-        self.terms = cleaned
+        self._terms = MappingProxyType(cleaned)
         self._hash = None  # computed by the first __hash__
+
+    @property
+    def terms(self) -> Mapping[Monomial, complex]:
+        """Monomial -> nonzero coefficient, as a read-only view."""
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
@@ -83,7 +90,7 @@ class OperatorPoly:
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
-        out = dict(self.terms)
+        out = self._terms.copy()
         for mono, coeff in other.terms.items():
             s = out.get(mono, 0.0) + coeff
             if s == 0:

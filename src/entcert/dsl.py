@@ -27,6 +27,7 @@ import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import algebra
 from .algebra import OperatorPoly, expectation_poly, variance
@@ -441,6 +442,8 @@ def evaluate(node, rho: State):
     A value or a side of a comparison that overflows is a LoweringError, as
     is a query nested too deeply to lower or to evaluate.
     A batched PureState is refused: a query reads one state.
+    Each E[...] and Var[...] operand is lowered once per cutoff (see
+    _lowered); the checks that read the state run on every call.
     """
     if rho.batch:
         raise DimensionError(f"a query reads one state, got a batch of shape {rho.batch}")
@@ -464,9 +467,9 @@ def _evaluate_value(node, rho: State) -> complex:
     if isinstance(node, Paren):
         return _evaluate_value(node.inner, rho)
     if isinstance(node, EQuery):
-        return expectation_poly(rho, lower(node.expr, rho.cutoff))
+        return expectation_poly(rho, _lowered(node.expr, rho.cutoff))
     if isinstance(node, VarQuery):
-        poly = lower(node.expr, rho.cutoff)
+        poly = _lowered(node.expr, rho.cutoff)
         if not poly.is_hermitian():
             raise LoweringError(f"Var requires a Hermitian operator, got {poly!r}")
         return complex(variance(rho, poly))
@@ -497,5 +500,23 @@ def _to_real(value: complex, label: str) -> float:
 
 
 def evaluate_text(text: str, rho: State):
-    """Parse and evaluate in one step."""
-    return evaluate(parse(text), rho)
+    """evaluate(parse(text), rho), with the parsed query kept per text (see
+    _parsed); an error in the text is raised again on every call."""
+    return evaluate(_parsed(text), rho)
+
+
+# Bounded as algebra._square is, since a caller may pass ever new texts.  Only
+# successes are kept.  A miss calls parse and lower by their module names, so
+# a wrapper put in their place (a benchmark span, a test's counter) sees every
+# real parse and lowering.
+@lru_cache(maxsize=128)
+def _parsed(text: str):
+    """parse(text), kept per text."""
+    return parse(text)
+
+
+@lru_cache(maxsize=256)
+def _lowered(node, cutoff: Cutoff) -> OperatorPoly:
+    """lower(node, cutoff), kept per operand and cutoff; every caller shares
+    the polynomial, whose terms are read-only."""
+    return lower(node, cutoff)

@@ -10,6 +10,7 @@ import pytest
 
 from entcert import (
     Cutoff,
+    DensityOperator,
     HermiticityError,
     Monomial,
     OperatorPoly,
@@ -52,6 +53,37 @@ def poly_from_word(word) -> OperatorPoly:
     for symbol in word:
         out = out * table[symbol]
     return out
+
+
+class TestTerms:
+    def test_terms_are_read_only(self):
+        poly = AD * A + ONE
+        before = dict(poly.terms)
+        mono = Monomial(1, 1, 0, 0)
+        with pytest.raises(TypeError):
+            poly.terms[mono] = 2.0
+        with pytest.raises(TypeError):
+            del poly.terms[mono]
+        # The view has no pop or update, and dict's own methods refuse it.
+        with pytest.raises(TypeError):
+            dict.pop(poly.terms, mono)
+        with pytest.raises(TypeError):
+            dict.update(poly.terms, {mono: 2.0})
+        with pytest.raises(TypeError):
+            poly.terms |= {mono: 2.0}
+        with pytest.raises(AttributeError):
+            poly.terms.update({mono: 2.0})
+        with pytest.raises(AttributeError):
+            poly.terms = {}
+        assert poly.terms == before and poly == AD * A + ONE
+
+    def test_equality_hash_repr_and_order_of_terms(self):
+        terms = {Monomial(0, 1, 0, 0): 2.0, IDENTITY_MONO: 1j, Monomial(1, 0, 0, 0): -1.0}
+        poly = OperatorPoly(terms)
+        assert list(poly.terms.items()) == list(terms.items())
+        assert poly.terms == terms and poly == OperatorPoly(dict(reversed(terms.items())))
+        assert hash(poly) == hash(frozenset(terms.items()))
+        assert repr(poly) == "OperatorPoly((0+1j)*1 + (2+0j)*a + (-1+0j)*ad)"
 
 
 class TestMultiplication:
@@ -394,6 +426,20 @@ class TestVariance:
         rho = random_density(rng, c)
         with pytest.raises(HermiticityError):
             variance(rho, A)
+
+    @pytest.mark.parametrize("e, negative", [(1e-8, True), (1e-11, False)])
+    def test_negative_variance_floor_is_minus_1e_10(self, e, negative):
+        # Hermitian and unit trace, but weight -e on |1,0>: Var(ad*a) = -e - e^2.
+        c = Cutoff(5, 2)
+        entries = np.zeros((c.dim, c.dim))
+        entries[c.index(0, 0), c.index(0, 0)] = 1.0 + e
+        entries[c.index(1, 0), c.index(1, 0)] = -e
+        rho = DensityOperator(entries, c)
+        if negative:
+            with pytest.raises(ValueError, match="negative beyond tolerance"):
+                variance(rho, AD * A)
+        else:
+            assert variance(rho, AD * A) == 0.0
 
     def test_shift_invariance(self, rng):
         c = Cutoff(4, 4)

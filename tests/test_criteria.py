@@ -72,6 +72,16 @@ class TestVerdictRule:
         assert at_least.holds is not fires(at_least.lhs, 1.0)
         assert below.holds is (lhs == "1 - 3e-10")
 
+    def test_real_part_allows_1e_10_of_at_least_one(self):
+        from entcert.criteria import _real
+
+        with pytest.raises(ValueError, match="should be real"):
+            _real(1 + 1e-6j, "bracket")
+        with pytest.raises(ValueError, match="should be real"):
+            _real(1e-3 + 1e-9j, "bracket")
+        assert _real(1 + 1e-11j, "bracket") == 1.0
+        assert _real(1e-3 + 1e-11j, "bracket") == 1e-3
+
     def test_bound_holds_is_derived_from_the_verdict(self):
         assert CriterionReport("x").separable_bound_holds is True
         assert CriterionReport("x", entangled_detected=True).separable_bound_holds is False

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcert import Cutoff, LexError, Monomial, OperatorPoly, ParseError, PowerGuardError
+from entcert import DimensionError
 from entcert import bell_xp_state
-from entcert import density_from_pure, product_coherent
+from entcert import density_from_pure, photon_subtracted_tmsv, product_coherent
 from entcert import dsl
 from entcert.algebra import A, AD, B, BD, IDENTITY_MONO, ONE, QUADRATURES, quadrature_poly
 from entcert.criteria import BUILTIN_OPERATORS, BUILTIN_QUERIES
@@ -36,6 +37,8 @@ from entcert.dsl import (
     parse,
     parse_operator,
 )
+
+from conftest import random_density
 
 SQRT_HALF = 2.0**-0.5
 
@@ -275,6 +278,7 @@ class TestLowering:
 
         monkeypatch.setattr(dsl, "lower", counting)
         psi = bell_xp_state(1.0, 0.0, Cutoff(3, 3))
+        _clear_caches()  # a cached operand would skip lower
         assert evaluate_text("E[ad*a]", psi) == 1.0
         assert calls and calls[0] == Cutoff(3, 3)
 
@@ -352,6 +356,14 @@ class TestEvaluation:
         with pytest.raises(LoweringError):
             evaluate_text("E[ad*b-a*bd] >= 0", rho)  # expectation is i
 
+    def test_comparison_side_may_be_complex_by_1e_9_relative(self, vacuum):
+        with pytest.raises(LoweringError, match="left side of comparison is not real"):
+            evaluate_text("E[1+1e-6*i] >= 0", vacuum)
+        with pytest.raises(LoweringError, match="right side of comparison is not real"):
+            evaluate_text("0 < E[1000+1e-5*i]", vacuum)
+        assert evaluate_text("E[1+1e-11*i] >= 0", vacuum).lhs == 1.0
+        assert evaluate_text("0 < E[1000+1e-7*i]", vacuum).rhs == 1000.0
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -371,6 +383,92 @@ class TestEvaluation:
 
         direct = expectation_poly(bell_half, lower(parse_operator("ad*a+bd*b")))
         assert evaluate_text("E[ad*a+bd*b]", bell_half) == pytest.approx(direct, abs=1e-12)
+
+
+def _clear_caches():
+    dsl._parsed.cache_clear()
+    dsl._lowered.cache_clear()
+
+
+def _pure_state():
+    return photon_subtracted_tmsv(0.3, 0.5, Cutoff(12, 12))[0]
+
+
+def _mixed_state():
+    return random_density(np.random.default_rng(5), Cutoff(5, 5))
+
+
+class TestCaches:
+    """evaluate_text keeps each parsed text, and evaluate each lowered
+    operand per cutoff.  Neither changes a result or keeps an error."""
+
+    @pytest.mark.parametrize("make_state", [_pure_state, _mixed_state], ids=["pure", "density"])
+    def test_builtin_queries_give_the_same_bits_cold_and_warm(self, make_state):
+        for name, text in BUILTIN_QUERIES.items():
+            _clear_caches()
+            # A fresh state for each call, so no moment comes from the first.
+            cold = evaluate_text(text, make_state())
+            lowered = dsl._lowered.cache_info().misses
+            warm = evaluate_text(text, make_state())
+            assert dsl._parsed.cache_info().hits == 1, name
+            assert dsl._lowered.cache_info().misses == lowered, name
+            assert (warm.lhs, warm.rhs, warm.holds) == (cold.lhs, cold.rhs, cold.holds), name
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("E[a] # 1", LexError), ("E[a] >=", ParseError), ("E[a^0]", ParseError)],
+    )
+    def test_a_text_error_is_raised_again_at_the_same_position(self, vacuum, text, error):
+        _clear_caches()
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                evaluate_text(text, vacuum)
+            raised.append((str(info.value), info.value.position))
+        assert raised[0] == raised[1]
+        assert dsl._parsed.cache_info().currsize == 0
+
+    def test_power_guard_is_checked_for_each_cutoff(self):
+        _clear_caches()
+        small = bell_xp_state(1.0, 0.0, Cutoff(3, 3))
+        with pytest.raises(PowerGuardError, match=r"\(a:3, b:0\)"):
+            evaluate_text("E[a^3]", small)
+        assert evaluate_text("E[a^3]", bell_xp_state(1.0, 0.0, Cutoff(6, 6))) == 0
+        with pytest.raises(PowerGuardError, match=r"\(a:3, b:0\)"):
+            evaluate_text("E[a^3]", small)
+
+    def test_moment_power_guard_runs_on_a_cached_operand(self):
+        _clear_caches()
+        for _ in range(2):  # lower takes a*a*a; the moment refuses it
+            with pytest.raises(PowerGuardError, match=r"\(a:3, b:0\)"):
+                evaluate_text("E[a*a*a]", bell_xp_state(1.0, 0.0, Cutoff(3, 3)))
+        assert dsl._lowered.cache_info().hits == 1
+
+    def test_var_of_a_non_hermitian_operator_is_refused_every_time(self, vacuum):
+        _clear_caches()
+        for _ in range(2):
+            with pytest.raises(LoweringError, match="Var requires a Hermitian operator"):
+                evaluate_text("Var[a]", vacuum)
+        assert dsl._lowered.cache_info().hits == 1
+
+    def test_batch_is_refused_with_warm_caches(self):
+        evaluate_text("E[ad*a]", bell_xp_state(1.0, 0.0, Cutoff(3, 3)))
+        with pytest.raises(DimensionError, match="a query reads one state"):
+            evaluate_text("E[ad*a]", bell_xp_state([1.0] * 2, [0.0] * 2, Cutoff(3, 3)))
+
+    def test_caches_are_bounded(self, vacuum):
+        _clear_caches()
+        parse_max = dsl._parsed.cache_info().maxsize
+        lower_max = dsl._lowered.cache_info().maxsize
+        for k in range(max(parse_max, lower_max) + 10):
+            assert evaluate_text(f"E[{k}*ad*a]", vacuum) == 0  # one operand per text
+        assert dsl._parsed.cache_info().currsize <= parse_max
+        assert dsl._lowered.cache_info().currsize <= lower_max
+
+    def test_equal_operands_share_one_polynomial(self):
+        # Parsed apart, equal and hashed alike (OperatorPoly.terms is read-only).
+        first = dsl._lowered(parse_operator("ad*a"), Cutoff(3, 3))
+        assert dsl._lowered(parse_operator("ad*a"), Cutoff(3, 3)) is first
 
 
 class TestParserTotality:

@@ -263,6 +263,12 @@ class TestStateTypes:
         with pytest.raises(NormalizationError):
             DensityOperator(np.eye(4, dtype=complex), c)
 
+    def test_density_trace_may_miss_one_by_1e_10(self):
+        c = Cutoff(2, 2)
+        with pytest.raises(NormalizationError, match="trace"):
+            DensityOperator(np.diag([1.0 + 1e-8, 0.0, 0.0, 0.0]), c)
+        DensityOperator(np.diag([1.0 + 1e-11, 0.0, 0.0, 0.0]), c)
+
     def test_cutoff_minimum(self):
         with pytest.raises(DimensionError):
             Cutoff(1, 3)

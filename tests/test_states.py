@@ -118,6 +118,14 @@ class TestTmsv:
         with pytest.raises(TruncationError):
             two_mode_squeezed_vacuum(2.0, np.pi, Cutoff(4, 4))
 
+    def test_kept_weight_must_reach_one_minus_trunc_tol(self):
+        # r = 0.5 at 4x4 keeps 1 - tanh(0.5)^8 = 1 - 2.08e-3: below 1 - 5e-4,
+        # above 1 - 10 * 5e-4.
+        with pytest.raises(TruncationError, match=r"keeps only 0\.99792"):
+            two_mode_squeezed_vacuum(0.5, 0.0, Cutoff(4, 4), trunc_tol=5e-4)
+        _, report = two_mode_squeezed_vacuum(0.5, 0.0, Cutoff(4, 4), trunc_tol=3e-3)
+        assert 1.0 - 3e-3 < report.kept_weight < 1.0 - 2e-3
+
     def test_kept_weight_matches_pre_normalization_norm(self):
         r, phi, c = 0.4, 1.1, Cutoff(10, 10)
         psi, report = two_mode_squeezed_vacuum(r, phi, c)
